@@ -1,21 +1,14 @@
 //! Timeline telemetry report and self-validating smoke gate.
 //!
 //! Runs one mix under one scheme with the windowed timeline recorder live
-//! — serially, then on the ParSystem engine at 1/2/4 workers — and:
+//! and:
 //!
 //! * renders an ASCII sparkline table of every recorded series (with
 //!   p50/p95/p99 for histogram series),
-//! * prints the commit thread's phase attribution as folded-stack lines
-//!   (`commit;<phase> <micros>`, ready for a flamegraph renderer),
 //! * **reconciles** each window-summed series against the end-of-run
 //!   registry deltas (the timeline clears at the warmup→measurement flip,
-//!   so the sums must match exactly),
-//! * checks the serial-comparable series (`dram.*`/`llc.*`/`scheme.*`)
-//!   are bit-identical between the serial run and every worker count
-//!   (`par.*` series carry real scheduling signal and are excluded),
-//! * checks the folded stack attributes ≥ 95% of profiled commit-thread
-//!   time to named phases, and
-//! * round-trips the serial timeline through its JSONL encoding at the
+//!   so the sums must match exactly), and
+//! * round-trips the timeline through its JSONL encoding at the
 //!   `IVL_TIMELINE` path (default `ivl_timeline.jsonl`).
 //!
 //! Exits nonzero if any check fails — CI uses it as the timeline smoke
@@ -23,22 +16,14 @@
 //!
 //! Usage: `timeline_report [MIX] [SCHEME] [--quick]`.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ivl_sim_core::config::SystemConfig;
-use ivl_sim_core::obs::timeline::{folded_line, sparkline, write_timeline_jsonl, Cell, HistCell};
+use ivl_sim_core::obs::timeline::{sparkline, write_timeline_jsonl, Cell, HistCell};
 use ivl_sim_core::obs::{ObsConfig, StatsRegistry, TimelineData};
-use ivl_simulator::{run_mix_observed, run_mix_observed_par, ObservedRun, RunConfig, SchemeKind};
+use ivl_simulator::{run_mix_observed, RunConfig, SchemeKind};
 use ivl_workloads::mixes::mix_by_name;
-
-/// ParSystem worker counts the bit-identity gate sweeps.
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Minimum fraction of profiled commit-thread time the folded stack must
-/// attribute to named (non-`other`) phases.
-const MIN_COVERAGE: f64 = 0.95;
 
 fn env_path(var: &str, default: &str) -> PathBuf {
     match std::env::var(var) {
@@ -53,12 +38,7 @@ fn env_path(var: &str, default: &str) -> PathBuf {
 /// the timeline's per-window sums over the measurement window against the
 /// registry's epoch deltas. `None` expectations mean the registry skipped
 /// the counter (it stayed zero), so the series must be absent too.
-fn reconcile(
-    tag: &str,
-    tl: &TimelineData,
-    reg: &StatsRegistry,
-    check: &mut impl FnMut(bool, String),
-) {
+fn reconcile(tl: &TimelineData, reg: &StatsRegistry, check: &mut impl FnMut(bool, String)) {
     let hot = match (
         reg.counter("scheme.hot_migrations"),
         reg.counter("scheme.hot_demotions"),
@@ -96,11 +76,11 @@ fn reconcile(
             // case the series legitimately never materialized.
             Some(v) => check(
                 got.unwrap_or(0) == v,
-                format!("{tag}: {series} window sum {got:?} != registry {v}"),
+                format!("{series} window sum {got:?} != registry {v}"),
             ),
             None => check(
                 got.is_none(),
-                format!("{tag}: {series} recorded {got:?} but the registry has no counterpart"),
+                format!("{series} recorded {got:?} but the registry has no counterpart"),
             ),
         }
     }
@@ -123,30 +103,20 @@ fn reconcile(
     match reg.gauge("cal.occupancy_peak") {
         Some(peak) => check(
             tl_occ == Some(peak),
-            format!("{tag}: cal.occupancy max {tl_occ:?} != registry peak {peak}"),
+            format!("cal.occupancy max {tl_occ:?} != registry peak {peak}"),
         ),
         None => check(
             tl_occ.is_none(),
-            format!("{tag}: cal.occupancy recorded but no registry peak exported"),
+            "cal.occupancy recorded but no registry peak exported".to_string(),
         ),
     }
     check(
         tl.dropped() == 0,
         format!(
-            "{tag}: timeline dropped {} window(s) — raise IVL_TIMELINE_CAP",
+            "timeline dropped {} window(s) — raise IVL_TIMELINE_CAP",
             tl.dropped()
         ),
     );
-}
-
-/// The serial-comparable view of a timeline: everything outside the
-/// engine-health `par.*` namespace.
-fn comparable(tl: &TimelineData) -> BTreeMap<&str, &ivl_sim_core::obs::timeline::Series> {
-    tl.series
-        .iter()
-        .filter(|(name, _)| !name.starts_with("par."))
-        .map(|(name, s)| (name.as_str(), s))
-        .collect()
 }
 
 /// One sparkline row per series: per-window magnitudes scaled to the
@@ -199,31 +169,6 @@ fn render_table(tl: &TimelineData) -> String {
     out
 }
 
-/// Renders `par.commitphase.*` registry counters as folded-stack lines and
-/// returns `(folded text, named coverage fraction)`.
-fn folded_commit_stack(reg: &StatsRegistry) -> Option<(String, f64)> {
-    let total = reg.counter("par.commitphase.total.micros")?;
-    let phases = ["calendar", "generation", "l2_replay", "integrity", "other"];
-    let mut out = String::new();
-    let mut named = 0u64;
-    for phase in phases {
-        let us = reg
-            .counter(&format!("par.commitphase.{phase}.micros"))
-            .unwrap_or(0);
-        if phase != "other" {
-            named += us;
-        }
-        out.push_str(&folded_line(&["commit", phase], us));
-        out.push('\n');
-    }
-    let coverage = if total == 0 {
-        1.0
-    } else {
-        named as f64 / total as f64
-    };
-    Some((out, coverage))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args()
         .skip(1)
@@ -266,47 +211,27 @@ fn main() -> ExitCode {
     };
 
     eprintln!(
-        "[timeline_report] {mix_name}/{} serial (window = {} cycles)",
+        "[timeline_report] {mix_name}/{} (window = {} cycles)",
         scheme.label(),
         obs_cfg.timeline_window
     );
-    let serial = run_mix_observed(mix, scheme, &run, &sys, &obs_cfg);
-    reconcile("serial", &serial.timeline, &serial.registry, &mut check);
+    let observed = run_mix_observed(mix, scheme, &run, &sys, &obs_cfg);
+    reconcile(&observed.timeline, &observed.registry, &mut check);
     check(
-        !serial.timeline.is_empty(),
-        "serial run recorded no timeline series".to_string(),
+        !observed.timeline.is_empty(),
+        "run recorded no timeline series".to_string(),
     );
 
-    let mut par_runs: Vec<(usize, ObservedRun)> = Vec::new();
-    for workers in WORKER_COUNTS {
-        eprintln!(
-            "[timeline_report] {mix_name}/{} par workers={workers}",
-            scheme.label()
-        );
-        let par = run_mix_observed_par(mix, scheme, &run, &sys, &obs_cfg, workers);
-        reconcile(
-            &format!("par w={workers}"),
-            &par.timeline,
-            &par.registry,
-            &mut check,
-        );
-        check(
-            comparable(&par.timeline) == comparable(&serial.timeline),
-            format!("par w={workers}: serial-comparable series drifted from the serial timeline"),
-        );
-        par_runs.push((workers, par));
-    }
-
-    // JSONL round-trip of the serial timeline at the IVL_TIMELINE path.
+    // JSONL round-trip of the timeline at the IVL_TIMELINE path.
     let tl_path = env_path("IVL_TIMELINE", "ivl_timeline.jsonl");
-    match write_timeline_jsonl(&serial.timeline, &tl_path) {
+    match write_timeline_jsonl(&observed.timeline, &tl_path) {
         Err(e) => check(false, format!("cannot write {}: {e}", tl_path.display())),
         Ok(()) => {
             let raw = std::fs::read_to_string(&tl_path).expect("read timeline back");
             match TimelineData::parse_jsonl(&raw) {
                 Err(e) => check(false, format!("timeline JSONL unparseable: {e}")),
                 Ok(parsed) => check(
-                    parsed == serial.timeline,
+                    parsed == observed.timeline,
                     "timeline JSONL round-trip drifted".to_string(),
                 ),
             }
@@ -314,34 +239,8 @@ fn main() -> ExitCode {
         }
     }
 
-    println!(
-        "# {mix_name}/{} — serial measurement window",
-        scheme.label()
-    );
-    print!("{}", render_table(&serial.timeline));
-
-    // Folded commit-thread phase stacks, one per worker count; the
-    // coverage gate runs on every ParSystem run.
-    for (workers, par) in &par_runs {
-        match folded_commit_stack(&par.registry) {
-            None => check(
-                false,
-                format!("par w={workers}: par.commitphase.* counters missing"),
-            ),
-            Some((folded, coverage)) => {
-                println!("# commit-thread folded stack (workers = {workers})");
-                print!("{folded}");
-                println!("# named-phase coverage: {:.1}%", coverage * 100.0);
-                check(
-                    coverage >= MIN_COVERAGE,
-                    format!(
-                        "par w={workers}: folded stack attributes only {:.1}% of commit time",
-                        coverage * 100.0
-                    ),
-                );
-            }
-        }
-    }
+    println!("# {mix_name}/{} — measurement window", scheme.label());
+    print!("{}", render_table(&observed.timeline));
 
     if errors.is_empty() {
         eprintln!("[timeline_report] validation OK");

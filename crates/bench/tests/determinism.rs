@@ -7,9 +7,7 @@
 //! timing), which would also poison figure reproducibility.
 
 use ivl_bench::run_matrix_on_with_workers;
-use ivl_simulator::{
-    run_mix, run_mix_par, run_mix_with_scheduler, RunConfig, SchedulerKind, SchemeKind,
-};
+use ivl_simulator::{run_mix_with_scheduler, RunConfig, SchedulerKind, SchemeKind};
 use ivl_workloads::mixes::MIXES;
 
 const MAIN_SCHEMES: [SchemeKind; 4] = [
@@ -55,15 +53,14 @@ fn event_calendar_is_bit_identical_to_linear_scan() {
 /// DRAM model's bank-free/bus-drain scheduling relies on.
 #[test]
 fn mixed_event_kinds_pop_in_linear_scan_order() {
-    use ivl_simulator::calendar::{CalendarEvent, EventCalendar};
+    use ivl_sim_core::calendar::{CalendarEvent, EventCalendar};
 
     let mut cal: EventCalendar<CalendarEvent> = EventCalendar::new();
     // Deterministic dense schedule: every cycle in 0..8 gets one event of
     // each class, inserted in a class-rotated order so insertion order
     // disagrees with the pinned class order.
     let mut oracle: Vec<(u64, u64, usize, CalendarEvent)> = Vec::new();
-    let mut seq = 0usize;
-    for i in 0..32u64 {
+    for (seq, i) in (0..32u64).enumerate() {
         let at = i % 8;
         let ev = match (i + at) % 4 {
             0 => CalendarEvent::DeferredWriteback((i % 4) as u32),
@@ -73,7 +70,6 @@ fn mixed_event_kinds_pop_in_linear_scan_order() {
         };
         cal.schedule(at, ev.tie(), ev);
         oracle.push((at, ev.tie(), seq, ev));
-        seq += 1;
     }
     // Linear-scan oracle: repeatedly remove the minimum (cycle, tie, seq).
     while !oracle.is_empty() {
@@ -100,37 +96,6 @@ fn mixed_event_kinds_pop_in_linear_scan_order() {
     assert_eq!(cal.pop(), Some((5, CalendarEvent::BankReady(63))));
     assert_eq!(cal.pop(), Some((5, CalendarEvent::BusDrain(3))));
     assert_eq!(cal.pop(), Some((5, CalendarEvent::DeferredWriteback(0))));
-}
-
-/// The `ParSystem` engine — real threads stepping one simulated system's
-/// cores via decoupled front-ends — must also be invisible in the
-/// results: serial and parallel figure data have to match **bit-for-bit**
-/// over the full 16-mix × 4-scheme matrix at every worker count. The CI
-/// matrix leg re-runs this test at `IVL_WORKERS ∈ {1, 2, 4, 8}`; without
-/// the variable set it sweeps worker counts 1, 2 and 4 itself. Any
-/// divergence means commit-order state leaked into a producer thread (or
-/// a ring reordered a stream), which would silently change every figure
-/// whenever `IVL_PAR_SYSTEM=1`.
-#[test]
-fn par_system_is_bit_identical_to_serial() {
-    let run = RunConfig::smoke_test();
-    let worker_counts: Vec<usize> = match std::env::var("IVL_WORKERS") {
-        Ok(v) => vec![v.trim().parse().expect("IVL_WORKERS must be a number")],
-        Err(_) => vec![1, 2, 4],
-    };
-    for mix in &MIXES {
-        for scheme in MAIN_SCHEMES {
-            let serial = format!("{:?}", run_mix(mix, scheme, &run));
-            for &workers in &worker_counts {
-                let par = format!("{:?}", run_mix_par(mix, scheme, &run, workers));
-                assert_eq!(
-                    serial, par,
-                    "serial and ParSystem runs diverged for {}/{scheme:?} at {workers} workers",
-                    mix.name
-                );
-            }
-        }
-    }
 }
 
 #[test]

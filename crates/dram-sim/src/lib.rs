@@ -835,7 +835,7 @@ mod tests {
     fn idle_skip_is_invariant_to_advance_placement() {
         // Whether the runner drained eagerly or the access drains lazily
         // on entry, the measured idle window is identical — the property
-        // that makes the counter deterministic across engines.
+        // that makes the counter independent of where the clock advances.
         let b = BlockAddr::new(0);
         let mut eager = model();
         let done = eager.access(0, b, false);
@@ -883,8 +883,9 @@ mod tests {
     fn access_many_matches_serial_access_sequence() {
         let cfg = SystemConfig::default().dram;
         let blocks_per_row = (cfg.row_bytes / BLOCK_BYTES) as u64;
-        let bank_stride =
-            blocks_per_row * cfg.channels as u64 * (cfg.ranks_per_channel * cfg.banks_per_rank) as u64;
+        let bank_stride = blocks_per_row
+            * cfg.channels as u64
+            * (cfg.ranks_per_channel * cfg.banks_per_rank) as u64;
         // Mixed legs: same channel pressure, a write, a same-bank repeat.
         let legs: Vec<(BlockAddr, bool)> = vec![
             (BlockAddr::new(0), true),

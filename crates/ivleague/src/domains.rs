@@ -11,20 +11,8 @@
 //! TreeLings to the FIFO. *TreeLing starvation* (paper §VI-D2) is the state
 //! where the FIFO is empty while a domain still needs coverage — the
 //! controller reports it so callers can account failures (Figure 22).
-//!
-//! The FIFO itself is a [`FreeTreeLingList`]: a lock-free, bounded,
-//! sequence-stamped ring (Vyukov's MPMC queue shape) that many domain
-//! threads can push/pop concurrently. A Treiber stack would have been the
-//! textbook lock-free free-list, but a stack is LIFO — it would reorder
-//! TreeLing recycling relative to the paper's unassigned *FIFO* and change
-//! every downstream allocation decision. The ring keeps exact FIFO order
-//! (so the single-threaded simulator is bit-identical to the old
-//! `VecDeque`) while the per-slot sequence stamps double as the ABA guard:
-//! a CAS on `head`/`tail` can only move a ticket forward, and a slot is
-//! only readable once its stamp proves the matching write completed.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
 
 use ivl_sim_core::domain::DomainId;
 
@@ -49,153 +37,6 @@ impl std::fmt::Display for StarvationError {
 
 impl std::error::Error for StarvationError {}
 
-/// Lock-free bounded FIFO of unassigned TreeLings.
-///
-/// Each slot packs a 32-bit wrapping *sequence stamp* (high half) with a
-/// biased TreeLing id (low half, `id + 1`, 0 = empty) into one `AtomicU64`,
-/// so slot publication is a single release store and no slot is ever read
-/// half-written. `head`/`tail` are ticket counters advanced by CAS; the
-/// stamp arithmetic wraps at 32 bits, which is safe because the capacity is
-/// far below `2^31` and comparisons use wrapping signed differences.
-///
-/// Determinism contract: with a single caller thread, `push`/`pop` are an
-/// exact FIFO — identical order to the `VecDeque` this replaces. Under
-/// concurrency the queue linearizes; a `pop` racing a half-finished `push`
-/// may transiently observe "empty", which callers treat as starvation (a
-/// counted, recoverable event), never as corruption.
-#[derive(Debug)]
-pub struct FreeTreeLingList {
-    slots: Box<[AtomicU64]>,
-    mask: u64,
-    head: AtomicU64,
-    tail: AtomicU64,
-    /// Failed `head`/`tail` CAS attempts (contention observability).
-    cas_retries: AtomicU64,
-}
-
-impl FreeTreeLingList {
-    /// Creates a list pre-filled with TreeLings `0..treeling_count`, with
-    /// capacity for all of them (so pushes of recycled TreeLings can never
-    /// overflow).
-    pub fn new(treeling_count: u32) -> Self {
-        let cap = u64::from(treeling_count).next_power_of_two().max(2);
-        let slots: Box<[AtomicU64]> = (0..cap)
-            .map(|i| {
-                if i < u64::from(treeling_count) {
-                    // Pre-filled as if enqueued with ticket i: stamp i+1.
-                    AtomicU64::new(((i as u32).wrapping_add(1) as u64) << 32 | (i + 1))
-                } else {
-                    // Empty slot awaiting ticket i: stamp i.
-                    AtomicU64::new((i as u32 as u64) << 32)
-                }
-            })
-            .collect();
-        FreeTreeLingList {
-            slots,
-            mask: cap - 1,
-            head: AtomicU64::new(0),
-            tail: AtomicU64::new(u64::from(treeling_count)),
-            cas_retries: AtomicU64::new(0),
-        }
-    }
-
-    /// Appends a recycled TreeLing at the back of the FIFO.
-    ///
-    /// The list can never be genuinely full: capacity covers the whole
-    /// construction-time TreeLing population, and only those ids circulate.
-    /// A stale slot stamp therefore always means a pop on the previous lap
-    /// is mid-flight (head-CAS won, slot not yet re-stamped) — the push
-    /// spins until that pop publishes.
-    pub fn push(&self, treeling: TreeLingId) {
-        loop {
-            let tail = self.tail.load(Ordering::Relaxed);
-            let slot = &self.slots[(tail & self.mask) as usize];
-            let stamp = (slot.load(Ordering::Acquire) >> 32) as u32;
-            let diff = stamp.wrapping_sub(tail as u32) as i32;
-            if diff == 0 {
-                if self
-                    .tail
-                    .compare_exchange_weak(tail, tail + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    let stamped =
-                        ((tail as u32).wrapping_add(1) as u64) << 32 | (u64::from(treeling.0) + 1);
-                    slot.store(stamped, Ordering::Release);
-                    return;
-                }
-                self.cas_retries.fetch_add(1, Ordering::Relaxed);
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Pops the TreeLing at the front of the FIFO, or `None` when the list
-    /// is (or transiently appears) empty.
-    pub fn pop(&self) -> Option<TreeLingId> {
-        loop {
-            let head = self.head.load(Ordering::Relaxed);
-            let slot = &self.slots[(head & self.mask) as usize];
-            let packed = slot.load(Ordering::Acquire);
-            let stamp = (packed >> 32) as u32;
-            let diff = stamp.wrapping_sub((head as u32).wrapping_add(1)) as i32;
-            if diff == 0 {
-                if self
-                    .head
-                    .compare_exchange_weak(head, head + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    let id = (packed & u64::from(u32::MAX)) as u32 - 1;
-                    // Re-stamp for the ticket that will fill this slot on
-                    // the ring's next lap (the ABA guard).
-                    let next = (head as u32).wrapping_add(self.mask as u32 + 1);
-                    slot.store((next as u64) << 32, Ordering::Release);
-                    return Some(TreeLingId(id));
-                }
-                self.cas_retries.fetch_add(1, Ordering::Relaxed);
-            } else if diff < 0 {
-                return None;
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Number of queued TreeLings (exact when quiescent, a snapshot under
-    /// concurrency).
-    pub fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Acquire);
-        let head = self.head.load(Ordering::Acquire);
-        tail.saturating_sub(head) as usize
-    }
-
-    /// Whether the list holds no TreeLings.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Failed ticket-CAS attempts so far.
-    pub fn cas_retries(&self) -> u64 {
-        self.cas_retries.load(Ordering::Relaxed)
-    }
-
-    /// Quiescent snapshot (for [`DomainController::clone`]): callers must
-    /// guarantee no concurrent pushes/pops.
-    fn snapshot(&self) -> FreeTreeLingList {
-        FreeTreeLingList {
-            slots: self
-                .slots
-                .iter()
-                .map(|s| AtomicU64::new(s.load(Ordering::Relaxed)))
-                .collect(),
-            mask: self.mask,
-            head: AtomicU64::new(self.head.load(Ordering::Relaxed)),
-            tail: AtomicU64::new(self.tail.load(Ordering::Relaxed)),
-            cas_retries: AtomicU64::new(self.cas_retries.load(Ordering::Relaxed)),
-        }
-    }
-}
-
 /// The domain controller.
 ///
 /// # Examples
@@ -211,28 +52,20 @@ impl FreeTreeLingList {
 /// ctl.destroy(d);
 /// assert_eq!(ctl.unassigned(), 4);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DomainController {
-    unassigned: FreeTreeLingList,
+    /// The Unassigned TreeLing FIFO: pop from the front, recycle to the
+    /// back.
+    unassigned: VecDeque<TreeLingId>,
     assignment: HashMap<DomainId, Vec<TreeLingId>>,
     starvation_events: u64,
-}
-
-impl Clone for DomainController {
-    fn clone(&self) -> Self {
-        DomainController {
-            unassigned: self.unassigned.snapshot(),
-            assignment: self.assignment.clone(),
-            starvation_events: self.starvation_events,
-        }
-    }
 }
 
 impl DomainController {
     /// Creates a controller over `treeling_count` TreeLings, all unassigned.
     pub fn new(treeling_count: u32) -> Self {
         DomainController {
-            unassigned: FreeTreeLingList::new(treeling_count),
+            unassigned: (0..treeling_count).map(TreeLingId).collect(),
             assignment: HashMap::new(),
             starvation_events: 0,
         }
@@ -244,7 +77,7 @@ impl DomainController {
     ///
     /// Returns [`StarvationError`] when the FIFO is empty.
     pub fn assign(&mut self, domain: DomainId) -> Result<TreeLingId, StarvationError> {
-        match self.unassigned.pop() {
+        match self.unassigned.pop_front() {
             Some(t) => {
                 self.assignment.entry(domain).or_default().push(t);
                 Ok(t)
@@ -270,7 +103,7 @@ impl DomainController {
         if let Some(list) = self.assignment.get_mut(&domain) {
             if let Some(pos) = list.iter().position(|t| *t == treeling) {
                 list.remove(pos);
-                self.unassigned.push(treeling);
+                self.unassigned.push_back(treeling);
                 return true;
             }
         }
@@ -281,7 +114,7 @@ impl DomainController {
     pub fn destroy(&mut self, domain: DomainId) {
         if let Some(list) = self.assignment.remove(&domain) {
             for t in list {
-                self.unassigned.push(t);
+                self.unassigned.push_back(t);
             }
         }
     }
@@ -361,72 +194,19 @@ mod tests {
     }
 
     #[test]
-    fn free_list_is_exact_fifo_like_the_old_deque() {
-        // The serial simulator's bit-identity rests on this: recycling is
-        // FIFO, not LIFO, so re-assignment order matches the VecDeque era.
-        let list = FreeTreeLingList::new(4);
+    fn recycled_treelings_rejoin_the_back_of_the_fifo() {
+        // Recycling is FIFO, not LIFO: a freed TreeLing is reassigned only
+        // after every TreeLing that was already unassigned.
+        let mut c = DomainController::new(4);
         for expect in 0..4 {
-            assert_eq!(list.pop(), Some(TreeLingId(expect)));
+            assert_eq!(c.assign(d(0)).unwrap(), TreeLingId(expect));
         }
-        assert_eq!(list.pop(), None);
-        list.push(TreeLingId(2));
-        list.push(TreeLingId(0));
-        list.push(TreeLingId(3));
-        assert_eq!(list.pop(), Some(TreeLingId(2)));
-        assert_eq!(list.pop(), Some(TreeLingId(0)));
-        assert_eq!(list.pop(), Some(TreeLingId(3)));
-        assert_eq!(list.pop(), None);
-    }
-
-    #[test]
-    fn free_list_wraps_the_ring_many_laps() {
-        // Capacity rounds 3 → 4; cycling 1000 items exercises stamp wraps
-        // across ring laps (the ABA-sensitive path).
-        let list = FreeTreeLingList::new(3);
-        let mut order: Vec<u32> = vec![0, 1, 2];
-        for _ in 0..1000 {
-            let t = list.pop().expect("never empty while cycling");
-            assert_eq!(t.0, order.remove(0));
-            list.push(t);
-            order.push(t.0);
-        }
-        assert_eq!(list.len(), 3);
-    }
-
-    #[test]
-    fn free_list_concurrent_cycling_loses_nothing() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        const THREADS: usize = 4;
-        const OPS: usize = 20_000;
-        let list = FreeTreeLingList::new(64);
-        let popped = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                s.spawn(|| {
-                    let mut held: Vec<TreeLingId> = Vec::new();
-                    for i in 0..OPS {
-                        if i % 2 == 0 {
-                            if let Some(t) = list.pop() {
-                                popped.fetch_add(1, Ordering::Relaxed);
-                                held.push(t);
-                            }
-                        } else if let Some(t) = held.pop() {
-                            list.push(t);
-                        }
-                    }
-                    for t in held {
-                        list.push(t);
-                    }
-                });
-            }
-        });
-        assert!(popped.load(Ordering::Relaxed) > 0, "threads made progress");
-        // Every TreeLing is back and unique.
-        assert_eq!(list.len(), 64);
-        let mut seen = std::collections::HashSet::new();
-        while let Some(t) = list.pop() {
-            assert!(seen.insert(t.0), "TreeLing {} duplicated", t.0);
-        }
-        assert_eq!(seen.len(), 64);
+        assert!(c.detach(d(0), TreeLingId(2)));
+        assert!(c.detach(d(0), TreeLingId(0)));
+        assert!(c.detach(d(0), TreeLingId(3)));
+        assert_eq!(c.assign(d(1)).unwrap(), TreeLingId(2));
+        assert_eq!(c.assign(d(1)).unwrap(), TreeLingId(0));
+        assert_eq!(c.assign(d(1)).unwrap(), TreeLingId(3));
+        assert!(c.assign(d(1)).is_err());
     }
 }

@@ -1,5 +1,5 @@
-//! Event calendar: the deterministic discrete-event scheduler every engine
-//! shares.
+//! Event calendar: the deterministic discrete-event scheduler the system
+//! runner and the DRAM model share.
 //!
 //! The system runner used to pick the next core with a linear
 //! `min_by_key` scan over all cores on every event. The calendar replaces
@@ -13,7 +13,7 @@
 //! insertion order, and entries with equal `(cycle, tie)` fall back to
 //! FIFO insertion order via the internal sequence number.
 //!
-//! [`CalendarEvent`] is the heterogeneous payload the runners and the DRAM
+//! [`CalendarEvent`] is the heterogeneous payload the runner and the DRAM
 //! model speak: each event class owns a disjoint `tie` space (the class
 //! constants below), so mixed-class entries at the same cycle pop in the
 //! pinned order *cores → banks → buses → writebacks* and never collide.
@@ -170,8 +170,7 @@ impl<T> EventCalendar<T> {
     }
 
     /// `(cycle, tie)` of the earliest entry without removing it — the key
-    /// the sharded calendar merge compares across shards, and the key the
-    /// runner's fast path compares against the running core to decide
+    /// the runner's fast path compares against the running core to decide
     /// whether anything can preempt it.
     #[inline]
     pub fn peek_key(&self) -> Option<(Cycle, u64)> {
@@ -270,7 +269,11 @@ mod tests {
         for e in evs {
             cal.schedule(100, e.tie(), e);
         }
-        cal.schedule(90, CalendarEvent::BankReady(7).tie(), CalendarEvent::BankReady(7));
+        cal.schedule(
+            90,
+            CalendarEvent::BankReady(7).tie(),
+            CalendarEvent::BankReady(7),
+        );
         assert_eq!(cal.pop(), Some((90, CalendarEvent::BankReady(7))));
         assert_eq!(cal.pop(), Some((100, CalendarEvent::CoreReady(2))));
         assert_eq!(cal.pop(), Some((100, CalendarEvent::BankReady(3))));

@@ -9,8 +9,7 @@
 //! * [`profile`] — scoped host-time timers aggregated into a per-run
 //!   self-profile;
 //! * [`timeline`] — windowed simulated-time metric series (counters,
-//!   gauges, log₂ histograms per cycle window) with deterministic
-//!   per-worker merge and JSONL/CSV export.
+//!   gauges, log₂ histograms per cycle window) with JSONL/CSV export.
 //!
 //! Models receive a cloneable [`Obs`] handle; a default-constructed
 //! handle is fully disabled and costs one branch per would-be event.

@@ -9,15 +9,11 @@
 //! ring bound (drop-oldest, counted) so an unexpectedly long run cannot eat
 //! the host.
 //!
-//! [`TimelineData`] is the plain, `Send`, order-independent snapshot:
-//! per-worker series from ParSystem shards [`merge`](TimelineData::merge)
-//! with saturating adds (counters, histogram buckets) and max (gauges), all
-//! associative and commutative, so the combined series is bit-identical no
-//! matter which worker commits first. Export is line-oriented JSONL (exact
-//! round-trip via [`parse_jsonl`]) or CSV for plotting.
+//! [`TimelineData`] is the plain, `Send` snapshot a run returns. Export is
+//! line-oriented JSONL (exact round-trip via [`parse_jsonl`]) or CSV for
+//! plotting.
 
 use std::cell::RefCell;
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -35,7 +31,7 @@ pub const HIST_BUCKETS: usize = 65;
 pub enum SeriesKind {
     /// Saturating event count per window.
     Counter,
-    /// High-water mark per window (merge keeps the max).
+    /// High-water mark per window.
     Gauge,
     /// Log₂-bucketed value distribution per window.
     Hist,
@@ -179,15 +175,6 @@ impl Cell {
             Cell::Hist(_) => SeriesKind::Hist,
         }
     }
-
-    fn merge(&mut self, other: &Cell) {
-        match (self, other) {
-            (Cell::Counter(a), Cell::Counter(b)) => *a = a.saturating_add(*b),
-            (Cell::Gauge(a), Cell::Gauge(b)) => *a = a.max(*b),
-            (Cell::Hist(a), Cell::Hist(b)) => a.merge(b),
-            _ => debug_assert!(false, "merging mismatched cell kinds"),
-        }
-    }
 }
 
 /// One named series: its kind, its retained windows (ascending by window
@@ -275,26 +262,9 @@ impl Series {
             _ => acc,
         })
     }
-
-    fn merge(&mut self, other: &Series, cap: usize) {
-        debug_assert_eq!(self.kind, other.kind, "merging mismatched series kinds");
-        self.dropped = self.dropped.saturating_add(other.dropped);
-        for (wi, cell) in &other.windows {
-            if other.kind != self.kind {
-                continue;
-            }
-            if let Some(mine) = self.cell_mut(*wi, cap, || match other.kind {
-                SeriesKind::Counter => Cell::Counter(0),
-                SeriesKind::Gauge => Cell::Gauge(f64::NEG_INFINITY),
-                SeriesKind::Hist => Cell::Hist(HistCell::empty()),
-            }) {
-                mine.merge(cell);
-            }
-        }
-    }
 }
 
-/// A full timeline snapshot: plain data, `Send`, mergeable, serializable.
+/// A full timeline snapshot: plain data, `Send`, serializable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelineData {
     /// Window width in simulated cycles.
@@ -379,25 +349,6 @@ impl TimelineData {
         }
         if let Some(Cell::Hist(h)) = s.cell_mut(wi, cap, || Cell::Hist(HistCell::empty())) {
             h.observe(v);
-        }
-    }
-
-    /// Merges `other` into `self` window-by-window: saturating add for
-    /// counters and histogram buckets, max for gauges. Associative and
-    /// commutative, so ParSystem workers can be merged in any order with a
-    /// bit-identical result.
-    pub fn merge(&mut self, other: &TimelineData) {
-        debug_assert_eq!(self.window, other.window, "merging mismatched windows");
-        let cap = self.cap;
-        for (name, theirs) in &other.series {
-            match self.series.entry(name.clone()) {
-                Entry::Vacant(e) => {
-                    let mut s = theirs.clone();
-                    s.enforce_cap(cap);
-                    e.insert(s);
-                }
-                Entry::Occupied(mut e) => e.get_mut().merge(theirs, cap),
-            }
         }
     }
 
@@ -567,12 +518,6 @@ impl TimelineData {
     }
 }
 
-/// Joins a phase stack into a folded-stack line (`a;b;c count`), the format
-/// `flamegraph.pl` and speedscope ingest directly.
-pub fn folded_line(stack: &[&str], count: u64) -> String {
-    format!("{} {count}", stack.join(";"))
-}
-
 /// Renders values as a unicode sparkline (one glyph per value, 8 levels,
 /// scaled to the slice max).
 pub fn sparkline(values: &[f64]) -> String {
@@ -719,13 +664,6 @@ impl Timeline {
         }
     }
 
-    /// Merges a (typically per-worker) snapshot into this recorder.
-    pub fn merge(&self, other: &TimelineData) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().merge(other);
-        }
-    }
-
     /// Drops all retained windows (the warmup → measurement flip).
     pub fn clear(&self) {
         if let Some(inner) = &self.inner {
@@ -855,36 +793,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_commutative_and_matches_serial() {
-        let mut serial = TimelineData::new(50, 64);
-        let mut w0 = TimelineData::new(50, 64);
-        let mut w1 = TimelineData::new(50, 64);
-        for i in 0..200u64 {
-            let cycle = i * 7 % 900;
-            serial.count("c", cycle, i);
-            serial.observe("h", cycle, i * 3);
-            if i % 2 == 0 {
-                w0.count("c", cycle, i);
-                w0.observe("h", cycle, i * 3);
-            } else {
-                w1.count("c", cycle, i);
-                w1.observe("h", cycle, i * 3);
-            }
-        }
-        let mut ab = w0.clone();
-        ab.merge(&w1);
-        let mut ba = w1.clone();
-        ba.merge(&w0);
-        assert_eq!(ab, ba, "merge must be commutative");
-        assert_eq!(ab, serial, "worker-merged series must match serial");
-    }
-
-    #[test]
     fn jsonl_round_trips_exactly() {
         let mut d = TimelineData::new(10_000, 32);
         d.count("dram.reads", 123, 4);
         d.count("dram.reads", 25_000, 9);
-        d.gauge("par.depth", 11_000, 3.25);
+        d.gauge("cal.occupancy", 11_000, 3.25);
         d.observe("dram.latency", 500, 42);
         d.observe("dram.latency", 700, 0);
         d.series.get_mut("dram.reads").unwrap().dropped = 7;
@@ -907,14 +820,6 @@ mod tests {
         assert_eq!(sparkline(&[0.0, 1.0, 7.0]), "▁▂█");
         assert_eq!(sparkline(&[]), "");
         assert_eq!(sparkline(&[0.0, 0.0]), "▁▁");
-    }
-
-    #[test]
-    fn folded_lines_join_with_semicolons() {
-        assert_eq!(
-            folded_line(&["commit", "integrity"], 42),
-            "commit;integrity 42"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests on the observability layer: registry JSON round-trips
 //! exactly, epoch deltas obey counter arithmetic, the trace ring stays
 //! bounded with `(cycle, seq)`-sorted, monotonic output, and the windowed
-//! timeline recorder is cap-bounded, merge-associative, and JSONL-exact.
+//! timeline recorder is cap-bounded and JSONL-exact.
 
 use ivl_sim_core::obs::timeline::TimelineData;
 use ivl_sim_core::obs::trace::{parse_jsonl, records_to_jsonl};
@@ -103,8 +103,7 @@ fn fill_tracer(tracer: &Tracer, seed: u64, events: usize) {
     }
 }
 
-/// One recorded timeline operation; generated up front so the same stream
-/// can be replayed into one recorder or sharded across several.
+/// One recorded timeline operation.
 #[derive(Debug, Clone)]
 enum TlOp {
     Count(String, u64, u64),
@@ -134,18 +133,14 @@ fn random_tl_ops(seed: u64, ops: usize, max_cycle: u64) -> Vec<TlOp> {
         .collect()
 }
 
-fn apply_tl_op(tl: &mut TimelineData, op: &TlOp) {
-    match op {
-        TlOp::Count(name, cycle, n) => tl.count(name, *cycle, *n),
-        TlOp::Gauge(name, cycle, v) => tl.gauge(name, *cycle, *v),
-        TlOp::Observe(name, cycle, v) => tl.observe(name, *cycle, *v),
-    }
-}
-
 fn replay_tl(ops: &[TlOp], window: u64, cap: usize) -> TimelineData {
     let mut tl = TimelineData::new(window, cap);
     for op in ops {
-        apply_tl_op(&mut tl, op);
+        match op {
+            TlOp::Count(name, cycle, n) => tl.count(name, *cycle, *n),
+            TlOp::Gauge(name, cycle, v) => tl.gauge(name, *cycle, *v),
+            TlOp::Observe(name, cycle, v) => tl.observe(name, *cycle, *v),
+        }
     }
     tl
 }
@@ -169,60 +164,6 @@ props! {
                 prop_assert!(w[0] < w[1], "window indices must be strictly increasing");
             }
         }
-    }
-
-    #[test]
-    fn timeline_merge_is_associative_and_commutative(
-        sa in any::<u64>(),
-        sb in any::<u64>(),
-        sc in any::<u64>(),
-        ops in 0usize..120,
-    ) {
-        // Cap far above the reachable window count: merge-order identities
-        // hold whenever the cap never evicts (the engines run that way).
-        const W: u64 = 64;
-        const CAP: usize = 1 << 12;
-        let a = replay_tl(&random_tl_ops(sa, ops, 50_000), W, CAP);
-        let b = replay_tl(&random_tl_ops(sb, ops, 50_000), W, CAP);
-        let c = replay_tl(&random_tl_ops(sc, ops, 50_000), W, CAP);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(&ab, &ba);
-
-        let mut ab_c = ab;
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        prop_assert_eq!(ab_c, a_bc);
-    }
-
-    #[test]
-    fn merged_worker_shards_match_the_serial_recording(
-        seed in any::<u64>(),
-        parts in 1usize..6,
-        ops in 0usize..200,
-    ) {
-        // The ParSystem contract: one stream recorded whole, or sharded
-        // round-robin across workers and merged, lands bit-identical.
-        const W: u64 = 128;
-        const CAP: usize = 1 << 12;
-        let stream = random_tl_ops(seed, ops, 60_000);
-        let serial = replay_tl(&stream, W, CAP);
-        let mut shards: Vec<TimelineData> =
-            (0..parts).map(|_| TimelineData::new(W, CAP)).collect();
-        for (i, op) in stream.iter().enumerate() {
-            apply_tl_op(&mut shards[i % parts], op);
-        }
-        let mut merged = TimelineData::new(W, CAP);
-        for shard in &shards {
-            merged.merge(shard);
-        }
-        prop_assert_eq!(merged, serial);
     }
 
     #[test]

@@ -32,13 +32,10 @@
 //! assert!(result.weighted_ipc() > 0.0);
 //! ```
 
-pub mod calendar;
-pub mod par;
 pub mod system;
 
-pub use par::{run_mix_observed_par, run_mix_par};
 pub use system::{
-    par_workers_from_env, run_mix, run_mix_observed, run_mix_observed_with_scheduler,
-    run_mix_with_config, run_mix_with_scheduler, CoreResult, EngineKind, MixResult, ObservedRun,
-    RunConfig, SchedulerKind, SchemeKind,
+    run_mix, run_mix_observed, run_mix_observed_with_scheduler, run_mix_with_config,
+    run_mix_with_scheduler, CoreResult, EngineKind, MixResult, ObservedRun, RunConfig,
+    SchedulerKind, SchemeKind,
 };

@@ -1,12 +1,12 @@
 //! The multicore engine and per-mix runner.
 
-use crate::calendar::{CalendarEvent, EventCalendar};
 use ivl_cache::randomized::RandomizedCache;
 use ivl_cache::set_assoc::SetAssocCache;
 use ivl_cache::CacheModel;
 use ivl_dram::DramModel;
 use ivl_secure_mem::baseline::GlobalBmtSubsystem;
 use ivl_secure_mem::subsystem::{IntegritySubsystem, IvStats, NoProtection};
+use ivl_sim_core::calendar::{CalendarEvent, EventCalendar};
 use ivl_sim_core::config::{IvVariant, SystemConfig};
 use ivl_sim_core::domain::DomainId;
 use ivl_sim_core::obs::timeline::write_timeline_jsonl;
@@ -199,54 +199,23 @@ pub enum SchedulerKind {
     LinearScan,
 }
 
-/// Which stepping engine executes a run.
-///
-/// Both engines produce bit-identical figure data (pinned by the
-/// determinism suite); the parallel engine additionally exports `par.*`
-/// scheduling counters that legitimately vary run to run.
+/// Which stepping engine executes a run. There is one: the serial
+/// runner, which steps every core of a mix on the calling thread.
+/// Campaign-level parallelism (independent mixes on worker threads) lives
+/// in the figure harness, not here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// The single-threaded oracle engine.
+    /// The single-threaded runner.
     #[default]
     Serial,
-    /// The decoupled front-end parallel engine ([`crate::par`]).
-    Par {
-        /// Front-end worker threads (clamped to the process count).
-        workers: usize,
-    },
 }
 
 impl EngineKind {
-    /// Engine selection from the environment: `IVL_PAR_SYSTEM=1` (or
-    /// `true`) turns the parallel engine on; `IVL_PAR_WORKERS` (falling
-    /// back to `IVL_WORKERS`, then the machine's parallelism) sizes its
-    /// front-end worker pool.
+    /// The engine a run uses. No environment variable selects another
+    /// engine, so this is always [`EngineKind::Serial`].
     pub fn from_env() -> Self {
-        let on = std::env::var("IVL_PAR_SYSTEM")
-            .map(|v| {
-                let v = v.trim();
-                v == "1" || v.eq_ignore_ascii_case("true")
-            })
-            .unwrap_or(false);
-        if on {
-            EngineKind::Par {
-                workers: par_workers_from_env(),
-            }
-        } else {
-            EngineKind::Serial
-        }
+        EngineKind::Serial
     }
-}
-
-/// Worker-count resolution for the parallel engine: `IVL_PAR_WORKERS`
-/// when set, else the testkit default (`IVL_WORKERS`, else one per
-/// available core).
-pub fn par_workers_from_env() -> usize {
-    std::env::var("IVL_PAR_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or_else(ivl_testkit::par::available_workers)
 }
 
 /// Run lengths and seed of one simulation.
@@ -427,17 +396,10 @@ pub fn run_mix_with_config(
     cfg: &SystemConfig,
 ) -> MixResult {
     let obs_cfg = ObsConfig::from_env();
-    let engine = EngineKind::from_env();
-    let run_engine = |oc: &ObsConfig| match engine {
-        EngineKind::Serial => run_mix_observed(mix, scheme_kind, run, cfg, oc),
-        EngineKind::Par { workers } => {
-            crate::par::run_mix_observed_par(mix, scheme_kind, run, cfg, oc, workers)
-        }
-    };
     if !obs_cfg.any_enabled() {
-        return run_engine(&ObsConfig::off()).result;
+        return run_mix_observed(mix, scheme_kind, run, cfg, &ObsConfig::off()).result;
     }
-    let observed = run_engine(&obs_cfg);
+    let observed = run_mix_observed(mix, scheme_kind, run, cfg, &obs_cfg);
     let tag = format!("{}.{}", path_tag(mix.name), path_tag(scheme_kind.label()));
     if let Some(p) = &obs_cfg.trace_path {
         let path = decorate_path(p, &tag);
@@ -460,24 +422,6 @@ pub fn run_mix_with_config(
     observed.result
 }
 
-/// Exports the scheme/DRAM/LLC statistics shared by both stepping
-/// engines; each engine adds its own per-core L2 tallies on top (the
-/// parallel engine reads them from producer stamps for single-core
-/// processes).
-pub(crate) fn export_shared_stats(
-    scheme: &SchemeInstance,
-    dram: &DramModel,
-    llc: &RandomizedCache,
-    reg: &mut StatsRegistry,
-) {
-    scheme.as_subsystem_ref().export_stats("scheme", reg);
-    dram.export_stats("dram", reg);
-    let lt = llc.tally();
-    reg.set_ratio("llc.data", HitMiss::from_parts(lt.hits, lt.misses));
-    reg.set_counter("llc.evictions", lt.evictions);
-    reg.set_counter("llc.dirty_evictions", lt.dirty_evictions);
-}
-
 /// Exports everything every model knows into one registry snapshot.
 fn export_run_stats(
     scheme: &SchemeInstance,
@@ -486,7 +430,12 @@ fn export_run_stats(
     cores: &[Core],
     reg: &mut StatsRegistry,
 ) {
-    export_shared_stats(scheme, dram, llc, reg);
+    scheme.as_subsystem_ref().export_stats("scheme", reg);
+    dram.export_stats("dram", reg);
+    let lt = llc.tally();
+    reg.set_ratio("llc.data", HitMiss::from_parts(lt.hits, lt.misses));
+    reg.set_counter("llc.evictions", lt.evictions);
+    reg.set_counter("llc.dirty_evictions", lt.dirty_evictions);
     for (i, c) in cores.iter().enumerate() {
         let t = c.l2.tally();
         reg.set_ratio(
@@ -588,8 +537,7 @@ pub fn run_mix_observed_with_scheduler(
                 gen: pi,
                 domain,
                 // The trace models post-L1 traffic, so the first private
-                // level a core owns here is its L2 (the parallel engine
-                // mirrors this layout).
+                // level a core owns here is its L2.
                 l2: SetAssocCache::with_geometry(
                     cfg.core.l2.capacity_bytes,
                     cfg.core.l2.ways,
@@ -621,10 +569,6 @@ pub fn run_mix_observed_with_scheduler(
     // Scratch buffer for L2→LLC write-backs, reused every iteration so the
     // hot loop never allocates.
     let mut llc_writebacks: Vec<u64> = Vec::new();
-    // Hoisted out of the event loop: one environment lookup per run, not
-    // one per event (std::env::var takes a process-wide lock and scans the
-    // environment block).
-    let debug_warm = std::env::var("IVL_DEBUG_WARM").is_ok();
     // Event calendar over typed events: each eligible core holds exactly
     // one `CoreReady` entry, keyed `(ready cycle, core index)`, so a pop
     // is the least-advanced core with lowest-index tie-breaking — the same
@@ -680,15 +624,6 @@ pub fn run_mix_observed_with_scheduler(
         };
         // Flip to the measurement window once every core leaves warmup and
         // its footprint is resident.
-        if debug_warm && !measuring {
-            let states: Vec<String> = cores
-                .iter()
-                .map(|c| format!("{}:{}", c.benchmark, c.accesses))
-                .collect();
-            if cores[0].accesses.is_multiple_of(100_000) && cores[0].accesses > 0 {
-                eprintln!("warm? {}", states.join(" "));
-            }
-        }
         if !measuring
             && cores.iter().all(|c| c.accesses >= warmup_total)
             && gens.iter().all(TraceGenerator::warmed_up)
@@ -909,7 +844,8 @@ pub fn run_mix_observed_with_scheduler(
                 occ_peak = occ;
             }
             if tl_on {
-                obs.timeline.gauge("cal.occupancy", cores[idx].now, occ as f64);
+                obs.timeline
+                    .gauge("cal.occupancy", cores[idx].now, occ as f64);
             }
         }
     }

@@ -5,8 +5,8 @@
 
 use ivl_sim_core::config::SystemConfig;
 use ivl_sim_core::obs::trace::{parse_jsonl, records_to_jsonl};
-use ivl_sim_core::obs::{EventKind, ObsConfig, TimelineData, DEFAULT_TRACE_CAP};
-use ivl_simulator::{run_mix_observed, run_mix_observed_par, RunConfig, SchemeKind};
+use ivl_sim_core::obs::{EventKind, ObsConfig, DEFAULT_TRACE_CAP};
+use ivl_simulator::{run_mix_observed, RunConfig, SchemeKind};
 use ivl_workloads::mixes::mix_by_name;
 
 fn traced_cfg() -> ObsConfig {
@@ -106,22 +106,11 @@ fn timeline_cfg() -> ObsConfig {
     cfg
 }
 
-/// The timeline's serial-comparable series: everything outside the
-/// engine-health `par.*` namespace.
-fn comparable(tl: &TimelineData) -> Vec<(&str, &ivl_sim_core::obs::timeline::Series)> {
-    tl.series
-        .iter()
-        .filter(|(name, _)| !name.starts_with("par."))
-        .map(|(name, s)| (name.as_str(), s))
-        .collect()
-}
-
 #[test]
 fn timeline_window_sums_reconcile_with_registry_deltas() {
     // The timeline clears at the warmup→measurement flip — the same point
     // the registry snapshot is taken — so per-window sums over the
-    // measurement window must equal the registry's epoch deltas exactly,
-    // on the serial engine and on ParSystem at every worker count.
+    // measurement window must equal the registry's epoch deltas exactly.
     let mix = mix_by_name("S-1").unwrap();
     let run = RunConfig {
         warmup_accesses: 2_000,
@@ -131,75 +120,43 @@ fn timeline_window_sums_reconcile_with_registry_deltas() {
     let sys = SystemConfig::default();
     let cfg = timeline_cfg();
 
-    let serial = run_mix_observed(mix, SchemeKind::IvPro, &run, &sys, &cfg);
-    assert!(
-        serial.result.core_accesses > 0,
-        "run must reach measurement"
-    );
-    assert!(!serial.timeline.is_empty(), "timeline must record series");
-    assert_eq!(serial.timeline.dropped(), 0, "default cap must not evict");
+    let obs = run_mix_observed(mix, SchemeKind::IvPro, &run, &sys, &cfg);
+    assert!(obs.result.core_accesses > 0, "run must reach measurement");
+    assert!(!obs.timeline.is_empty(), "timeline must record series");
+    assert_eq!(obs.timeline.dropped(), 0, "default cap must not evict");
+    assert_eq!(obs.registry.counter("obs.timeline.dropped"), Some(0));
 
-    let runs = [("serial", &serial)];
-    let par_runs: Vec<_> = [1usize, 2, 4]
-        .iter()
-        .map(|&w| run_mix_observed_par(mix, SchemeKind::IvPro, &run, &sys, &cfg, w))
-        .collect();
-
-    for (tag, obs) in runs
-        .iter()
-        .map(|(t, o)| (*t, *o))
-        .chain(par_runs.iter().map(|o| ("par", o)))
-    {
-        let tl = &obs.timeline;
-        let reg = &obs.registry;
-        let hot = reg.counter("scheme.hot_migrations").unwrap_or(0)
-            + reg.counter("scheme.hot_demotions").unwrap_or(0);
-        let expect = [
-            ("dram.reads", reg.counter("dram.reads").unwrap_or(0)),
-            ("dram.writes", reg.counter("dram.writes").unwrap_or(0)),
-            (
-                "llc.misses",
-                reg.ratio("llc.data").map_or(0, |hm| hm.misses()),
-            ),
-            ("llc.evictions", reg.counter("llc.evictions").unwrap_or(0)),
-            (
-                "scheme.walk_legs",
-                reg.counter("scheme.path_len_sum").unwrap_or(0),
-            ),
-            (
-                "scheme.nflb_misses",
-                reg.ratio("scheme.nflb").map_or(0, |hm| hm.misses()),
-            ),
-            (
-                "scheme.nfl_claims",
-                reg.counter("scheme.nfl_claims").unwrap_or(0),
-            ),
-            ("scheme.hot_churn", hot),
-        ];
-        for (series, v) in expect {
-            assert_eq!(
-                tl.counter_sum(series).unwrap_or(0),
-                v,
-                "{tag}: {series} window sum vs registry"
-            );
-        }
-    }
-
-    // Serial-comparable series are bit-identical across engines; the
-    // exported dropped counter stays zero under the default cap.
-    for (w, par) in [1usize, 2, 4].iter().zip(&par_runs) {
+    let tl = &obs.timeline;
+    let reg = &obs.registry;
+    let hot = reg.counter("scheme.hot_migrations").unwrap_or(0)
+        + reg.counter("scheme.hot_demotions").unwrap_or(0);
+    let expect = [
+        ("dram.reads", reg.counter("dram.reads").unwrap_or(0)),
+        ("dram.writes", reg.counter("dram.writes").unwrap_or(0)),
+        (
+            "llc.misses",
+            reg.ratio("llc.data").map_or(0, |hm| hm.misses()),
+        ),
+        ("llc.evictions", reg.counter("llc.evictions").unwrap_or(0)),
+        (
+            "scheme.walk_legs",
+            reg.counter("scheme.path_len_sum").unwrap_or(0),
+        ),
+        (
+            "scheme.nflb_misses",
+            reg.ratio("scheme.nflb").map_or(0, |hm| hm.misses()),
+        ),
+        (
+            "scheme.nfl_claims",
+            reg.counter("scheme.nfl_claims").unwrap_or(0),
+        ),
+        ("scheme.hot_churn", hot),
+    ];
+    for (series, v) in expect {
         assert_eq!(
-            comparable(&par.timeline),
-            comparable(&serial.timeline),
-            "workers={w}: comparable series must match serial exactly"
-        );
-        assert_eq!(par.registry.counter("obs.timeline.dropped"), Some(0));
-        // The commit-phase attribution rides along on ParSystem runs.
-        assert!(
-            par.registry
-                .counter("par.commitphase.total.micros")
-                .is_some(),
-            "workers={w}: commit phase profile missing"
+            tl.counter_sum(series).unwrap_or(0),
+            v,
+            "{series} window sum vs registry"
         );
     }
 }

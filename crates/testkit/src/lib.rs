@@ -13,8 +13,6 @@
 //! * [`par`] — a scoped-thread parallel runner with a mutex-guarded,
 //!   order-preserving result collector replacing `crossbeam` +
 //!   `parking_lot`;
-//! * [`spsc`] — a bounded single-producer/single-consumer ring (the
-//!   parallel system engine's event stream transport);
 //! * [`kv`] — a tiny key=value/TOML-subset serializer replacing `serde`
 //!   for `ivl-sim-core::config`;
 //! * [`rng`] — the xoshiro256** generator backing all of the above.
@@ -28,7 +26,6 @@ pub mod kv;
 pub mod par;
 pub mod prop;
 pub mod rng;
-pub mod spsc;
 
 /// Everything a property-test file needs, in one import.
 pub mod prelude {
