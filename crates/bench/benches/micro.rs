@@ -105,82 +105,15 @@ fn bench_caches_and_dram(h: &mut Harness) {
         dram.access(now, BlockAddr::new((now / 10 % 2) * row_stride), false)
     });
 
-    // Long idle windows between touches of a small bank set: every access
-    // drains an expired bank-ready event and accounts the skipped window —
-    // the event-calendar path the lazy slab model never exercised.
+    // Long idle windows between touches of a small bank set: nearly every
+    // access finds its bank idle and adds the window to the idle-skip
+    // counter.
     let mut dram = DramModel::new(&cfg.dram);
     let mut rng = Xoshiro256::seed_from(9);
     let mut now = 0u64;
     h.bench("dram_idle_skip", || {
         now += 50_000;
         dram.access(now, BlockAddr::new(rng.next_below(64)), false)
-    });
-
-    // The batched sibling-leg issue the integrity walk uses: one decode +
-    // observability gate for a typical 4-leg batch (write-back, MAC read,
-    // data read, counter read) instead of four.
-    let mut dram = DramModel::new(&cfg.dram);
-    let mut rng = Xoshiro256::seed_from(11);
-    let mut now = 0u64;
-    let mut dones: Vec<u64> = Vec::new();
-    h.bench("walk_leg_batch", || {
-        now += 200;
-        let legs = [
-            (BlockAddr::new(rng.next_below(1 << 24)), true),
-            (BlockAddr::new(rng.next_below(1 << 24)), false),
-            (BlockAddr::new(rng.next_below(1 << 24)), false),
-            (BlockAddr::new(rng.next_below(1 << 24)), false),
-        ];
-        dram.access_many(now, &legs, &mut dones);
-        dones.last().copied()
-    });
-}
-
-fn bench_scheduler(h: &mut Harness) {
-    h.group("scheduler");
-    use ivl_sim_core::calendar::EventCalendar;
-    // Steady-state pop + reschedule over a calendar sized like a large
-    // multi-domain system (cores plus deferred model events in flight).
-    let mut cal: EventCalendar<u32> = EventCalendar::with_capacity(256);
-    let mut rng = Xoshiro256::seed_from(3);
-    for i in 0..256u32 {
-        cal.schedule(rng.next_below(1_000), i as u64, i);
-    }
-    let mut now = 0u64;
-    h.bench("scheduler_pop", || {
-        let (at, id) = cal.pop().expect("calendar stays populated");
-        now = now.max(at);
-        cal.schedule(now + 1 + rng.next_below(200), id as u64, id);
-        id
-    });
-
-    // Heterogeneous churn: core/bank/bus/writeback events cycling through
-    // one typed heap, the workload the event-driven DRAM model adds on top
-    // of plain core scheduling.
-    use ivl_sim_core::calendar::CalendarEvent;
-    let mut cal: EventCalendar<CalendarEvent> = EventCalendar::with_capacity(256);
-    let mut rng = Xoshiro256::seed_from(5);
-    for i in 0..64u32 {
-        let ev = match i % 4 {
-            0 => CalendarEvent::CoreReady(i as usize),
-            1 => CalendarEvent::BankReady(i),
-            2 => CalendarEvent::BusDrain(i % 4),
-            _ => CalendarEvent::DeferredWriteback(i % 4),
-        };
-        cal.schedule(rng.next_below(1_000), ev.tie(), ev);
-    }
-    let mut now = 0u64;
-    h.bench("calendar_mixed_events", || {
-        let (at, ev) = cal.pop().expect("calendar stays populated");
-        now = now.max(at);
-        let next = match ev {
-            CalendarEvent::CoreReady(c) => CalendarEvent::BankReady(c as u32),
-            CalendarEvent::BankReady(b) => CalendarEvent::BusDrain(b % 4),
-            CalendarEvent::BusDrain(c) => CalendarEvent::DeferredWriteback(c),
-            CalendarEvent::DeferredWriteback(c) => CalendarEvent::CoreReady(c as usize),
-        };
-        cal.schedule(now + 1 + rng.next_below(200), next.tie(), next);
-        now
     });
 }
 
@@ -270,7 +203,6 @@ fn main() {
     bench_crypto(&mut h);
     bench_functional_secure_memory(&mut h);
     bench_caches_and_dram(&mut h);
-    bench_scheduler(&mut h);
     bench_nfl_and_forest(&mut h);
     bench_scheme_access_paths(&mut h);
     bench_workload_generator(&mut h);

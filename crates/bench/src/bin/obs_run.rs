@@ -179,14 +179,14 @@ fn main() -> ExitCode {
                 parsed.gauge("attack.accuracy") == Some(attack.accuracy),
                 "attack.accuracy did not round-trip",
             );
-            // Idle-window skipping must actually engage on the default
-            // mix: cores sleep between misses, so touched banks always
-            // free up ahead of the next request.
+            // Banks must sit idle between requests on the default mix:
+            // cores sleep between misses, so a touched bank's `busy_until`
+            // falls behind the next request's issue cycle.
             check(
                 parsed
                     .counter("dram.idle_skipped_cycles")
                     .is_some_and(|v| v > 0),
-                "dram.idle_skipped_cycles is zero — idle-window skipping never engaged",
+                "dram.idle_skipped_cycles is zero — no request found its bank idle",
             );
         }
     }

@@ -84,32 +84,6 @@ fn reconcile(tl: &TimelineData, reg: &StatsRegistry, check: &mut impl FnMut(bool
             ),
         }
     }
-    // Gauge reconcile: the calendar-occupancy series' max over the
-    // measurement window must equal the registry's exported peak (both
-    // reset at the warmup→measurement flip).
-    let tl_occ = tl
-        .series
-        .iter()
-        .find(|(name, _)| *name == "cal.occupancy")
-        .map(|(_, s)| {
-            s.windows
-                .iter()
-                .map(|(_, c)| match c {
-                    Cell::Gauge(g) => *g,
-                    _ => 0.0,
-                })
-                .fold(0.0f64, f64::max)
-        });
-    match reg.gauge("cal.occupancy_peak") {
-        Some(peak) => check(
-            tl_occ == Some(peak),
-            format!("cal.occupancy max {tl_occ:?} != registry peak {peak}"),
-        ),
-        None => check(
-            tl_occ.is_none(),
-            "cal.occupancy recorded but no registry peak exported".to_string(),
-        ),
-    }
     check(
         tl.dropped() == 0,
         format!(

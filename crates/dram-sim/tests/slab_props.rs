@@ -1,7 +1,7 @@
-//! Property tests for the event-driven DRAM substrate: completion times
-//! and idle-window accounting are a pure function of the access stream —
-//! invariant to where the runner places `advance_to` drains — and both
-//! match an independent slab-shadow model of the pre-event timing math.
+//! Property test for the DRAM timing model: completion times and
+//! idle-window accounting both match an independent slab-shadow model of
+//! the timing math, under the default geometry and under random
+//! non-power-of-two ones.
 
 use ivl_dram::DramModel;
 use ivl_sim_core::addr::{BlockAddr, BLOCK_BYTES};
@@ -10,8 +10,8 @@ use ivl_sim_core::rng::Xoshiro256;
 use ivl_sim_core::Cycle;
 use ivl_testkit::prelude::*;
 
-/// Independent replica of the timing slabs using the original lazy
-/// `now.max(slab)` math, plus the touched-bank rule the idle-skip counter
+/// Independent replica of the timing slabs using the lazy
+/// `now.max(slab)` math and the div/mod address decode, plus the touched-bank rule the idle-skip counter
 /// is defined by: a request to a previously-touched bank whose array freed
 /// at `busy_until` skips `now - busy_until` idle cycles.
 struct SlabShadow {
@@ -71,67 +71,59 @@ impl SlabShadow {
     }
 }
 
+/// The default (power-of-two, shift/mask decode) geometry, or one with
+/// three channels (div/mod decode) and random ranks, banks and row size.
+fn geometry(default: bool, rng: &mut Xoshiro256) -> DramConfig {
+    let mut cfg = SystemConfig::default().dram;
+    if !default {
+        cfg.channels = 3;
+        cfg.ranks_per_channel = 1 + rng.index(2);
+        cfg.banks_per_rank = 1 + rng.index(8);
+        cfg.row_bytes = BLOCK_BYTES * (1 + rng.index(48));
+    }
+    cfg
+}
+
 props! {
-    #![cases(48)]
+    #![cases(64)]
 
     #[test]
-    fn timing_and_idle_skip_match_shadow_under_any_drain_placement(
+    fn timing_and_idle_skip_match_slab_shadow(
         seed in any::<u64>(),
         accesses in 20usize..200,
+        default_geometry in any::<bool>(),
     ) {
-        let cfg = SystemConfig::default().dram;
         let mut rng = Xoshiro256::seed_from(seed);
+        let cfg = geometry(default_geometry, &mut rng);
+        let blocks_per_row = (cfg.row_bytes / BLOCK_BYTES) as u64;
+        let banks_per_channel = (cfg.ranks_per_channel * cfg.banks_per_rank) as u64;
         let mut dram = DramModel::new(&cfg);
         let mut shadow = SlabShadow::new(&cfg);
         let mut now: Cycle = 0;
         for _ in 0..accesses {
             // Mixed cadence: bursts at one cycle, short gaps, long idle
-            // windows — plus randomly placed runner drains.
+            // windows.
             now += match rng.index(4) {
                 0 => 0,
                 1 => 1 + rng.next_u64() % 50,
                 2 => 1 + rng.next_u64() % 2_000,
                 _ => 10_000 + rng.next_u64() % 500_000,
             };
-            if rng.chance(0.4) {
-                dram.advance_to(now + rng.next_u64() % 1_000);
-            }
-            // Small block universe so banks and rows collide often.
-            let block = BlockAddr::new(rng.next_u64() % 96);
+            // A few rows in a few banks of every channel, so row hits,
+            // conflicts and same-bank queueing all occur often.
+            let (channel, column) = (
+                rng.next_u64() % cfg.channels as u64,
+                rng.next_u64() % blocks_per_row,
+            );
+            let bank = rng.next_u64() % banks_per_channel.min(4);
+            let row = rng.next_u64() % 3;
+            let per_channel = (row * banks_per_channel + bank) * blocks_per_row + column;
+            let block = BlockAddr::new(per_channel * cfg.channels as u64 + channel);
             let is_write = rng.chance(0.3);
             let done = dram.access(now, block, is_write);
             prop_assert_eq!(done, shadow.access(now, block));
         }
         // Idle-skip accounting must match the slab definition exactly.
         prop_assert_eq!(dram.stats().idle_skipped_cycles.get(), shadow.idle_skipped);
-    }
-
-    #[test]
-    fn batched_legs_equal_serial_legs(seed in any::<u64>(), rounds in 5usize..40) {
-        let cfg = SystemConfig::default().dram;
-        let mut rng = Xoshiro256::seed_from(seed);
-        let mut batched = DramModel::new(&cfg);
-        let mut serial = DramModel::new(&cfg);
-        let mut now: Cycle = 0;
-        let mut done_b = Vec::new();
-        for _ in 0..rounds {
-            now += rng.next_u64() % 30_000;
-            let legs: Vec<(BlockAddr, bool)> = (0..1 + rng.index(6))
-                .map(|_| (BlockAddr::new(rng.next_u64() % 64), rng.chance(0.4)))
-                .collect();
-            batched.access_many(now, &legs, &mut done_b);
-            for (i, &(blk, w)) in legs.iter().enumerate() {
-                prop_assert_eq!(done_b[i], serial.access(now, blk, w));
-            }
-        }
-        prop_assert_eq!(
-            batched.stats().idle_skipped_cycles.get(),
-            serial.stats().idle_skipped_cycles.get()
-        );
-        prop_assert_eq!(
-            batched.stats().events_stale.get(),
-            serial.stats().events_stale.get()
-        );
-        prop_assert_eq!(batched.pending_events(), serial.pending_events());
     }
 }

@@ -155,11 +155,6 @@ pub struct IvLeagueSubsystem {
     trace_on: bool,
     prof_on: bool,
     tl_on: bool,
-    /// Scratch for the batched sibling-leg DRAM issue in
-    /// [`data_access`](IntegritySubsystem::data_access): reused every
-    /// access so the hot path never allocates.
-    batch_legs: Vec<(BlockAddr, bool)>,
-    batch_done: Vec<Cycle>,
 }
 
 impl IvLeagueSubsystem {
@@ -264,8 +259,6 @@ impl IvLeagueSubsystem {
             trace_on: false,
             prof_on: false,
             tl_on: false,
-            batch_legs: Vec::with_capacity(6),
-            batch_done: Vec::with_capacity(6),
         }
     }
 
@@ -661,13 +654,6 @@ impl IntegritySubsystem for IvLeagueSubsystem {
             slot = self.slot_of(page);
         }
 
-        // ── Sibling legs of this walk, batched into one DRAM issue. ──
-        // Every leg below is independent and issued at `now`, in the exact
-        // order the serial calls used, so the timing slabs — and therefore
-        // every completion cycle — are bit-identical to one-at-a-time
-        // issue; the address decode and observability gating are paid once
-        // per walk instead of once per leg.
-
         // MAC leg (parallel).
         let mac_block = self.data_layout.mac_block(block);
         let mac = self.mac_cache.access(mac_block.index(), is_write);
@@ -686,9 +672,9 @@ impl IntegritySubsystem for IvLeagueSubsystem {
             ctr.evicted.is_some(),
         );
 
-        // Read-path LMM probe, hoisted ahead of the batch so its PTE read
-        // can ride along as a sibling leg. The write path's lookup starts
-        // only once the counter arrives, so it stays serial below.
+        // Read-path LMM probe, hoisted ahead of the DRAM legs so its PTE
+        // read issues at `now` with its siblings. The write path's lookup
+        // starts only once the counter arrives, so it stays serial below.
         let lmm_hit = if !is_write && !ctr.hit {
             let hit = self.lmm_cache.access(page);
             self.stats.lmm_cache.record(hit);
@@ -698,49 +684,40 @@ impl IntegritySubsystem for IvLeagueSubsystem {
             None
         };
 
-        self.batch_legs.clear();
-        let mut mac_read = usize::MAX;
-        let mut ctr_read = usize::MAX;
-        let mut pte_read = usize::MAX;
+        // ── Sibling DRAM legs of this access, all issued at `now`. ──
+        // They are independent, but each sees the bank and bus state the
+        // earlier ones left, so this issue order is part of the timing.
         if let Some(e) = mac.evicted.filter(|e| e.dirty) {
-            self.batch_legs.push((BlockAddr::new(e.key), true));
+            dram.access(now, BlockAddr::new(e.key), true);
             self.stats.meta_writes += 1;
         }
-        if !mac.hit {
-            mac_read = self.batch_legs.len();
-            self.batch_legs.push((mac_block, false));
-            self.stats.meta_reads += 1;
-        }
-        if let Some(e) = ctr.evicted.filter(|e| e.dirty) {
-            self.batch_legs.push((BlockAddr::new(e.key), true));
-            self.stats.meta_writes += 1;
-        }
-        let data_leg = self.batch_legs.len();
-        self.batch_legs.push((block, is_write));
-        if !ctr.hit {
-            ctr_read = self.batch_legs.len();
-            self.batch_legs.push((ctr_block, false));
-            self.stats.meta_reads += 1;
-        }
-        if lmm_hit == Some(false) {
-            pte_read = self.batch_legs.len();
-            self.batch_legs.push((pte_block(self.pt_base, page), false));
-            self.stats.meta_reads += 1;
-        }
-        dram.access_many(now, &self.batch_legs, &mut self.batch_done);
-
         let mac_done = if mac.hit {
             now + self.secure.counter_cache.hit_latency
         } else {
-            self.batch_done[mac_read]
+            self.stats.meta_reads += 1;
+            dram.access(now, mac_block, false)
+        };
+        if let Some(e) = ctr.evicted.filter(|e| e.dirty) {
+            dram.access(now, BlockAddr::new(e.key), true);
+            self.stats.meta_writes += 1;
+        }
+        let data_done = dram.access(now, block, is_write);
+        let ctr_done = if ctr.hit {
+            None
+        } else {
+            self.stats.meta_reads += 1;
+            Some(dram.access(now, ctr_block, false))
+        };
+        let pte_done = if lmm_hit == Some(false) {
+            self.stats.meta_reads += 1;
+            Some(dram.access(now, pte_block(self.pt_base, page), false))
+        } else {
+            None
         };
 
         if is_write {
             self.stats.data_writes += 1;
-            let mut t = now;
-            if !ctr.hit {
-                t = self.batch_done[ctr_read];
-            }
+            let mut t = ctr_done.unwrap_or(now);
             // Tree update: LMM lookup then update walk up to a cached node.
             t = self.lmm_lookup(t, dram, page, domain);
             if let Some(slot) = slot {
@@ -749,26 +726,21 @@ impl IntegritySubsystem for IvLeagueSubsystem {
             t.max(mac_done).min(now + 200)
         } else {
             self.stats.data_reads += 1;
-            let data_done = self.batch_done[data_leg];
-            let verify_done = if ctr.hit {
-                now + self.secure.counter_cache.hit_latency
-            } else {
-                let ctr_done = self.batch_done[ctr_read];
-                self.stats.verifications += 1;
-                // Locating the TreeLing leaf needs the LMM: a hit is free,
-                // a miss adds the memory indirection the paper charges
-                // IvLeague-Basic for (one page-table read before the walk
-                // can start).
-                let lmm_done = if lmm_hit == Some(true) {
-                    now + self.ivcfg.lmm_hit_latency
-                } else {
-                    self.batch_done[pte_read]
-                };
-                let mut t = ctr_done.max(lmm_done);
-                if let Some(slot) = slot {
-                    t = self.walk(t, dram, slot, domain, false);
+            let verify_done = match ctr_done {
+                None => now + self.secure.counter_cache.hit_latency,
+                Some(ctr_done) => {
+                    self.stats.verifications += 1;
+                    // Locating the TreeLing leaf needs the LMM: a hit is
+                    // free, a miss adds the memory indirection the paper
+                    // charges IvLeague-Basic for (one page-table read
+                    // before the walk can start).
+                    let lmm_done = pte_done.unwrap_or(now + self.ivcfg.lmm_hit_latency);
+                    let mut t = ctr_done.max(lmm_done);
+                    if let Some(slot) = slot {
+                        t = self.walk(t, dram, slot, domain, false);
+                    }
+                    t
                 }
-                t
             };
             let pad_done = verify_done + self.secure.aes_latency;
             data_done.max(pad_done).max(mac_done)

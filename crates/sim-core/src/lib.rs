@@ -6,9 +6,6 @@
 //!   64-byte-block / 4-KiB-page geometry used throughout the paper;
 //! * [`domain`] — integrity-verification (IV) domain identifiers, capped at
 //!   `2^12` domains exactly as IvLeague provisions (Section VI-D1);
-//! * [`calendar`] — the deterministic `(cycle, tie, seq)` min-heap event
-//!   calendar and the typed [`calendar::CalendarEvent`] payload shared by
-//!   the runners and the DRAM model;
 //! * [`config`] — the Table I architecture configuration as plain data;
 //! * [`stats`] — counters, running means and histograms used by the models;
 //! * [`obs`] — the workspace-wide observability layer: dotted-path stats
@@ -27,7 +24,6 @@
 //! ```
 
 pub mod addr;
-pub mod calendar;
 pub mod config;
 pub mod domain;
 pub mod fxhash;

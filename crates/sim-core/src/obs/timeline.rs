@@ -797,7 +797,7 @@ mod tests {
         let mut d = TimelineData::new(10_000, 32);
         d.count("dram.reads", 123, 4);
         d.count("dram.reads", 25_000, 9);
-        d.gauge("cal.occupancy", 11_000, 3.25);
+        d.gauge("queue.depth", 11_000, 3.25);
         d.observe("dram.latency", 500, 42);
         d.observe("dram.latency", 700, 0);
         d.series.get_mut("dram.reads").unwrap().dropped = 7;

@@ -35,7 +35,6 @@
 pub mod system;
 
 pub use system::{
-    run_mix, run_mix_observed, run_mix_observed_with_scheduler, run_mix_with_config,
-    run_mix_with_scheduler, CoreResult, EngineKind, MixResult, ObservedRun, RunConfig,
-    SchedulerKind, SchemeKind,
+    run_mix, run_mix_observed, run_mix_with_config, CoreResult, EngineKind, MixResult, ObservedRun,
+    RunConfig, SchemeKind,
 };

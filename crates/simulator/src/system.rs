@@ -6,7 +6,6 @@ use ivl_cache::CacheModel;
 use ivl_dram::DramModel;
 use ivl_secure_mem::baseline::GlobalBmtSubsystem;
 use ivl_secure_mem::subsystem::{IntegritySubsystem, IvStats, NoProtection};
-use ivl_sim_core::calendar::{CalendarEvent, EventCalendar};
 use ivl_sim_core::config::{IvVariant, SystemConfig};
 use ivl_sim_core::domain::DomainId;
 use ivl_sim_core::obs::timeline::write_timeline_jsonl;
@@ -19,6 +18,8 @@ use ivl_sim_core::Cycle;
 use ivl_workloads::mixes::Mix;
 use ivl_workloads::trace::{MemEvent, TraceGenerator};
 use ivleague::scheme::{AllocatorKind, IvLeagueSubsystem};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The schemes the evaluation compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -180,29 +181,11 @@ impl SchemeInstance {
     }
 }
 
-/// How the engine picks the next core to execute.
-///
-/// Both schedulers realize the same loose global ordering — the
-/// least-advanced eligible core executes next, ties broken by lowest core
-/// index — and are pinned bit-identical against each other by regression
-/// tests. The calendar is the default: it pops the next core in O(log n)
-/// from an [`EventCalendar`] instead of rescanning every core per event,
-/// and the same calendar is the insertion point for deferred model events
-/// (bank-free, bus-free) when the engine grows beyond core granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Binary-heap event calendar keyed on core-ready cycles.
-    #[default]
-    EventCalendar,
-    /// The pre-calendar linear `min_by_key` scan, kept as the ordering
-    /// oracle for determinism tests.
-    LinearScan,
-}
-
 /// Which stepping engine executes a run. There is one: the serial
 /// runner, which steps every core of a mix on the calling thread.
 /// Campaign-level parallelism (independent mixes on worker threads) lives
-/// in the figure harness, not here.
+/// in the figure harness, not here. Kept only because the simulator
+/// benchmark (`perfbench/src/main.rs`) still names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// The single-threaded runner.
@@ -335,6 +318,46 @@ impl MixResult {
     }
 }
 
+/// The runner's core scheduler: the least-advanced runnable core runs
+/// next, ties to the lowest core index (the loose global ordering of the
+/// engine). A min-heap of `(ready cycle, core)` holds the waiting cores.
+/// The core that just ran keeps running, without a heap round-trip,
+/// while it is still strictly ahead of the heap's head; keys are unique
+/// per core, so that is exactly the core a push and pop would return.
+struct ReadyCores {
+    heap: BinaryHeap<Reverse<(Cycle, usize)>>,
+    running: Option<usize>,
+}
+
+impl ReadyCores {
+    /// A scheduler holding `cores` as `(ready cycle, core index)` pairs.
+    fn new(cores: impl Iterator<Item = (Cycle, usize)>) -> Self {
+        ReadyCores {
+            heap: cores.map(Reverse).collect(),
+            running: None,
+        }
+    }
+
+    /// The core to run next, removed from the scheduler; `None` once no
+    /// core is runnable.
+    fn pick(&mut self) -> Option<usize> {
+        self.running
+            .take()
+            .or_else(|| self.heap.pop().map(|Reverse((_, idx))| idx))
+    }
+
+    /// Returns the core that [`pick`](Self::pick) just handed out, now
+    /// ready at cycle `now`. A retired core is simply not requeued.
+    fn requeue(&mut self, now: Cycle, idx: usize) {
+        let key = (now, idx);
+        if self.heap.peek().is_none_or(|Reverse(head)| key < *head) {
+            self.running = Some(idx);
+        } else {
+            self.heap.push(Reverse(key));
+        }
+    }
+}
+
 struct Core {
     /// Index into the per-process generator table (threads of a process
     /// share one generator: one heap, one footprint).
@@ -463,40 +486,6 @@ pub fn run_mix_observed(
     cfg: &SystemConfig,
     obs_cfg: &ObsConfig,
 ) -> ObservedRun {
-    run_mix_observed_with_scheduler(
-        mix,
-        scheme_kind,
-        run,
-        cfg,
-        obs_cfg,
-        SchedulerKind::default(),
-    )
-}
-
-/// Runs one mix under one scheme with an explicit core scheduler (the
-/// ordering-determinism tests pin [`SchedulerKind::EventCalendar`] against
-/// [`SchedulerKind::LinearScan`] this way; everything else uses the
-/// default).
-pub fn run_mix_with_scheduler(
-    mix: &Mix,
-    scheme_kind: SchemeKind,
-    run: &RunConfig,
-    scheduler: SchedulerKind,
-) -> MixResult {
-    let cfg = SystemConfig::default();
-    run_mix_observed_with_scheduler(mix, scheme_kind, run, &cfg, &ObsConfig::off(), scheduler)
-        .result
-}
-
-/// [`run_mix_observed`] with an explicit [`SchedulerKind`].
-pub fn run_mix_observed_with_scheduler(
-    mix: &Mix,
-    scheme_kind: SchemeKind,
-    run: &RunConfig,
-    cfg: &SystemConfig,
-    obs_cfg: &ObsConfig,
-    scheduler: SchedulerKind,
-) -> ObservedRun {
     let obs = Obs::from_config(obs_cfg);
     // Cached enabled flags: the hot loop branches on plain bools instead of
     // re-querying the handles per event.
@@ -569,59 +558,16 @@ pub fn run_mix_observed_with_scheduler(
     // Scratch buffer for L2→LLC write-backs, reused every iteration so the
     // hot loop never allocates.
     let mut llc_writebacks: Vec<u64> = Vec::new();
-    // Event calendar over typed events: each eligible core holds exactly
-    // one `CoreReady` entry, keyed `(ready cycle, core index)`, so a pop
-    // is the least-advanced core with lowest-index tie-breaking — the same
-    // loose global ordering the linear scan produced, in O(log n). The
-    // DRAM model's bank-ready / bus-drain transitions live in its own
-    // internal slot calendar: the access path reclaims due slots in place
-    // (idle-window accounting is invariant to where the clock is advanced,
-    // pinned by the dram-sim property tests), and the runner settles
-    // anything still outstanding at the epoch edges below.
-    let mut calendar: EventCalendar<CalendarEvent> = EventCalendar::with_capacity(cores.len());
-    if scheduler == SchedulerKind::EventCalendar {
-        for (i, c) in cores.iter().enumerate() {
-            if c.accesses < measure_total {
-                calendar.schedule(c.now, i as u64, CalendarEvent::CoreReady(i));
-            }
-        }
-    }
-    // Run-until-preempted fast path: when the core that just executed is
-    // still strictly the earliest-keyed runnable core, keep running it
-    // without a schedule/pop round-trip through the heap. Identical
-    // selection order by construction — a fresh entry's sequence number is
-    // larger than every queued one, so a strict key win is exactly the
-    // case where the heap would have returned the same core.
-    let mut next: Option<usize> = None;
-    // Peak calendar occupancy (runnable core entries plus the running
-    // core's implicit entry plus pending DRAM model events); reset at the
-    // warmup→measurement flip so the exported gauge covers the window.
-    let mut occ_peak: usize = 0;
+    // Least-advanced core executes next (loose global ordering).
+    let mut ready = ReadyCores::new(
+        cores
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.accesses < measure_total)
+            .map(|(i, c)| (c.now, i)),
+    );
 
-    loop {
-        // Least-advanced core executes next (loose global ordering).
-        let idx = match next.take() {
-            Some(i) => i,
-            None => match scheduler {
-                SchedulerKind::EventCalendar => match calendar.pop() {
-                    Some((_, CalendarEvent::CoreReady(i))) => i,
-                    Some((_, ev)) => unreachable!("runner schedules only CoreReady, got {ev:?}"),
-                    None => break,
-                },
-                SchedulerKind::LinearScan => {
-                    match cores
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.accesses < measure_total)
-                        .min_by_key(|(_, c)| c.now)
-                        .map(|(i, _)| i)
-                    {
-                        Some(i) => i,
-                        None => break,
-                    }
-                }
-            },
-        };
+    while let Some(idx) = ready.pick() {
         // Flip to the measurement window once every core leaves warmup and
         // its footprint is resident.
         if !measuring
@@ -629,17 +575,11 @@ pub fn run_mix_observed_with_scheduler(
             && gens.iter().all(TraceGenerator::warmed_up)
         {
             measuring = true;
-            // Settle the DRAM clock at the epoch edge: every deferred
-            // transition due by the least-advanced core's cycle fires in
-            // one sweep, so the occupancy gauge enters the measurement
-            // window counting only genuinely pending transitions.
-            dram.advance_to(cores[idx].now);
             epoch_stats = *scheme.stats();
             export_run_stats(&scheme, &dram, &llc, &cores, &mut epoch_reg);
             // Clear at the same flip the registry snapshot is taken, so the
             // timeline's window sums equal the registry's epoch deltas.
             obs.timeline.clear();
-            occ_peak = 0;
             if obs.tracer.enabled() {
                 let flip = cores.iter().map(|c| c.now).min().unwrap_or(0);
                 obs.tracer.emit(
@@ -662,8 +602,8 @@ pub fn run_mix_observed_with_scheduler(
             gens[core.gen].next_event()
         };
         // Labeled so the cache-hit early exits still fall through to the
-        // requeue below (a plain `continue` would skip rescheduling the
-        // core and stall the calendar).
+        // requeue below (a plain `continue` would drop the core from the
+        // scheduler).
         'event: {
             match event {
                 MemEvent::Access {
@@ -826,27 +766,10 @@ pub fn run_mix_observed_with_scheduler(
         }
 
         // Requeue the core at its new ready cycle; a core past its access
-        // budget simply leaves the calendar (mirroring the linear scan's
-        // eligibility filter). If the core is still strictly ahead of the
-        // calendar head it keeps running without touching the heap.
-        if scheduler == SchedulerKind::EventCalendar {
-            let c = &cores[idx];
-            if c.accesses < measure_total {
-                let key = (c.now, idx as u64);
-                if calendar.peek_key().is_none_or(|head| key < head) {
-                    next = Some(idx);
-                } else {
-                    calendar.schedule(c.now, idx as u64, CalendarEvent::CoreReady(idx));
-                }
-            }
-            let occ = calendar.len() + next.is_some() as usize + dram.pending_events();
-            if occ > occ_peak {
-                occ_peak = occ;
-            }
-            if tl_on {
-                obs.timeline
-                    .gauge("cal.occupancy", cores[idx].now, occ as f64);
-            }
+        // budget retires.
+        let c = &cores[idx];
+        if c.accesses < measure_total {
+            ready.requeue(c.now, idx);
         }
     }
 
@@ -881,18 +804,9 @@ pub fn run_mix_observed_with_scheduler(
         })
         .collect();
 
-    // Settle the DRAM clock at the run's end edge (the mirror of the
-    // flip-time sweep) before the final export.
-    dram.advance_to(cores.iter().map(|c| c.now).max().unwrap_or(0));
     let mut end_reg = StatsRegistry::new();
     export_run_stats(&scheme, &dram, &llc, &cores, &mut end_reg);
     let mut registry = end_reg.delta(&epoch_reg);
-    if scheduler == SchedulerKind::EventCalendar {
-        // Measurement-window peak of the `cal.occupancy` timeline gauge —
-        // set after the delta (occ_peak was reset at the flip, so the end
-        // export alone is the window value).
-        registry.set_gauge("cal.occupancy_peak", occ_peak as f64);
-    }
     registry.set_counter("run.core_accesses", core_accesses);
     registry.set_counter("run.llc_miss_reads", llc_miss_reads);
     registry.set_counter("run.read_latency_sum", read_latency_sum);
@@ -936,7 +850,51 @@ pub fn run_mix_observed_with_scheduler(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivl_sim_core::rng::Xoshiro256;
+    use ivl_testkit::prelude::*;
     use ivl_workloads::mixes::mix_by_name;
+
+    props! {
+        #![cases(64)]
+
+        /// Every pick equals the linear scan the scheduler replaced: the
+        /// runnable core with the smallest clock, ties to the lowest index.
+        #[test]
+        fn ready_cores_pick_matches_linear_scan(
+            seed in any::<u64>(),
+            n in 1usize..17,
+            budget in 1u32..40,
+        ) {
+            let mut rng = Xoshiro256::seed_from(seed);
+            // Staggered start clocks, some equal, so ties show up at once.
+            let mut now: Vec<Cycle> = (0..n).map(|_| rng.next_u64() % 4).collect();
+            let mut left: Vec<u32> = (0..n).map(|_| 1 + rng.next_u64() as u32 % budget).collect();
+            let mut ready = ReadyCores::new(now.iter().enumerate().map(|(i, &t)| (t, i)));
+            let mut picks = 0;
+            loop {
+                let scan = (0..n)
+                    .filter(|&i| left[i] > 0)
+                    .min_by_key(|&i| now[i]);
+                let pick = ready.pick();
+                prop_assert_eq!(pick, scan);
+                let Some(idx) = pick else { break };
+                picks += 1;
+                // Small advances keep clocks colliding; an occasional
+                // long one lets a core fall far behind the others.
+                now[idx] += match rng.index(4) {
+                    0 => 0,
+                    1 | 2 => rng.next_u64() % 3,
+                    _ => rng.next_u64() % 1_000,
+                };
+                left[idx] -= 1;
+                if left[idx] > 0 {
+                    ready.requeue(now[idx], idx);
+                }
+            }
+            prop_assert!(left.iter().all(|&l| l == 0));
+            prop_assert!(picks >= n);
+        }
+    }
 
     #[test]
     fn scheme_labels_round_trip_and_protection_split() {

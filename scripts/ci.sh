@@ -21,7 +21,7 @@
 #                             must keep flagging and every protected scheme
 #                             must stay clean (drift detector both ways)
 #   6. bench smoke + gate   - one quick ivl-bench micro run, diffed against
-#                             BENCH_pr12.json by bench_compare; fails on a
+#                             BENCH_pr13.json by bench_compare; fails on a
 #                             median regression beyond the threshold
 #                             (IVL_BENCH_GATE_THRESHOLD, default 1.5 = 2.5x)
 #   7. observability smoke  - obs_run writes + self-validates a trace
@@ -141,7 +141,7 @@ BENCH_JSON="$(pwd)/target/bench_quick.json"
 IVL_BENCH_QUICK=1 IVL_BENCH_JSON="$BENCH_JSON" \
     cargo bench -p ivl-bench --locked --offline
 
-step "bench regression gate (vs BENCH_pr12.json)"
+step "bench regression gate (vs BENCH_pr13.json)"
 # The snapshot holds full-mode medians while this leg runs quick mode, and
 # quick-mode medians on a shared runner straight after a long build are
 # systematically slower (short warm-up, hot machine) on top of being noisy
@@ -149,7 +149,7 @@ step "bench regression gate (vs BENCH_pr12.json)"
 # threshold absorbs that; the gate catches order-of-magnitude mistakes,
 # not percent-level drift.
 cargo run -q -p ivl-bench --bin bench_compare --locked --offline -- \
-    BENCH_pr12.json "$BENCH_JSON" \
+    BENCH_pr13.json "$BENCH_JSON" \
     --threshold "${IVL_BENCH_GATE_THRESHOLD:-1.5}"
 
 step "observability smoke (obs_run --quick)"
@@ -173,7 +173,7 @@ if [ "$PROFILE_FILTER" != "debug" ]; then
     step "figures wall-clock smoke (all_figures --quick)"
     # Runs the full figure campaign in quick mode against a wall-clock
     # budget. The budget leaves generous headroom over the ~51 s a single
-    # quiet core needs after the event-calendar/dense-table work (it was
+    # quiet core needs after the heap-scheduler/dense-table work (it was
     # 900 s before that landed) and stays env-overridable because CI cores
     # vary; it exists to catch campaign-layer slowdowns — a serialized
     # sweep, a lost parallel runner — that the micro-bench medians cannot
