@@ -73,7 +73,7 @@ pub fn run_matrix_on(mixes: &[Mix], schemes: &[SchemeKind], run: &RunConfig) -> 
 
 /// [`run_matrix_on`] with an explicit worker count. `workers = 1` runs the
 /// jobs serially on one pool thread in job order — the determinism tests
-/// pin serial vs. work-stealing runs against each other this way.
+/// pin serial vs. multi-worker runs against each other this way.
 pub fn run_matrix_on_with_workers(
     mixes: &[Mix],
     schemes: &[SchemeKind],
@@ -93,7 +93,7 @@ pub fn run_matrix_on_with_workers(
 }
 
 /// Generic parallel point sweep: runs `f` over `points` on the testkit's
-/// work-stealing runner, printing a `[n/total] <label> <elapsed> (eta …)`
+/// shared-counter pool, printing a `[n/total] <label> <elapsed> (eta …)`
 /// progress line to stderr as each point completes — the ETA is the mean
 /// per-point wall time extrapolated over the points still outstanding.
 /// Results preserve input order.

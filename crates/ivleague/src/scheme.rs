@@ -27,7 +27,7 @@ use ivl_sim_core::config::{IvLeagueConfig, IvVariant, SecureMemConfig, SystemCon
 use ivl_sim_core::domain::DomainId;
 use ivl_sim_core::obs::registry::StatsRegistry;
 use ivl_sim_core::obs::trace::{CacheKind, EventKind};
-use ivl_sim_core::obs::{Obs, Phase};
+use ivl_sim_core::obs::Obs;
 use ivl_sim_core::Cycle;
 
 use crate::bitvector::{BvAllocator, BvVariant};
@@ -51,45 +51,6 @@ pub enum AllocatorKind {
 enum Mapper {
     Nfl(Forest),
     Bv(BvAllocator),
-}
-
-/// Precomputed terminal latencies for the verification walk, keyed by
-/// (tree level, metadata-cache hit class). The walk's variable cost is the
-/// stateful DRAM/cache traffic; what *is* constant — the on-chip tail of
-/// cache-hit latency plus hash check, or hash check alone after a memory
-/// fetch — is folded into this table once at construction instead of being
-/// re-summed from config fields on every access. The domain dimension
-/// collapses because every domain shares one TreeLing geometry and the
-/// locked upper structure; with today's uniform per-level costs the rows
-/// are identical, but the walk reads through the (level, hit) key so
-/// variant-specific level costs slot in without touching the loop.
-#[derive(Debug, Clone)]
-struct WalkLatencyTable {
-    /// `terminal[level][hit as usize]`: cycles to finish verification once
-    /// the walk terminates at `level` (hit = ended on-chip).
-    terminal: Vec<[Cycle; 2]>,
-}
-
-impl WalkLatencyTable {
-    fn new(levels: usize, secure: &SecureMemConfig) -> Self {
-        let mem_tail = secure.hash_latency;
-        let chip_tail = secure.tree_cache.hit_latency + secure.hash_latency;
-        WalkLatencyTable {
-            // +2: level 0 (unused) and the virtual above-root terminal.
-            terminal: vec![[mem_tail, chip_tail]; levels + 2],
-        }
-    }
-
-    #[inline]
-    fn terminal(&self, level: u32, on_chip: bool) -> Cycle {
-        self.terminal[(level as usize).min(self.terminal.len() - 1)][on_chip as usize]
-    }
-
-    /// The above-root terminal (locked upper structure, always on-chip).
-    #[inline]
-    fn root(&self) -> Cycle {
-        self.terminal[self.terminal.len() - 1][1]
-    }
 }
 
 /// The IvLeague integrity subsystem.
@@ -121,8 +82,12 @@ pub struct IvLeagueSubsystem {
     /// longer clones the full struct.
     ivcfg: IvLeagueConfig,
     secure: SecureMemConfig,
-    /// Memoized constant walk-terminal latencies.
-    lat: WalkLatencyTable,
+    /// Cycles to finish verification once the walk ends on-chip: a
+    /// tree-cache hit (or the locked upper structure) plus the hash check.
+    chip_tail: Cycle,
+    /// Cycles to finish verification after the walk's last node came from
+    /// memory: the hash check alone.
+    mem_tail: Cycle,
     mapper: Mapper,
     /// Static counter/MAC layout (counters stay statically addressed).
     data_layout: MetadataLayout,
@@ -149,11 +114,9 @@ pub struct IvLeagueSubsystem {
     pt_base: u64,
     stats: IvStats,
     obs: Obs,
-    /// Cached `obs.tracer.enabled()` / `obs.profiler.is_enabled()` /
-    /// `obs.timeline.enabled()` so the per-access path branches on a bool
-    /// instead of chasing the handles.
+    /// Cached `obs.tracer.enabled()` / `obs.timeline.enabled()` so the
+    /// per-access path branches on a bool instead of chasing the handles.
     trace_on: bool,
-    prof_on: bool,
     tl_on: bool,
 }
 
@@ -235,7 +198,8 @@ impl IvLeagueSubsystem {
             lock_upper,
             ivcfg: cfg.ivleague,
             secure: cfg.secure,
-            lat: WalkLatencyTable::new(cfg.ivleague.treeling_levels, &cfg.secure),
+            chip_tail: cfg.secure.tree_cache.hit_latency + cfg.secure.hash_latency,
+            mem_tail: cfg.secure.hash_latency,
             mapper,
             data_layout,
             tl_layout,
@@ -257,7 +221,6 @@ impl IvLeagueSubsystem {
             stats: IvStats::default(),
             obs: Obs::disabled(),
             trace_on: false,
-            prof_on: false,
             tl_on: false,
         }
     }
@@ -385,7 +348,6 @@ impl IvLeagueSubsystem {
         domain: DomainId,
         ops: &[TaggedNflOp],
     ) -> Cycle {
-        let _nfl_timing = self.prof_on.then(|| self.obs.profiler.scope(Phase::Nfl));
         if ops.is_empty() {
             return now;
         }
@@ -481,14 +443,11 @@ impl IvLeagueSubsystem {
         is_write: bool,
     ) -> Cycle {
         let g = self.tl_layout.geometry();
-        let _walk_timing = self
-            .prof_on
-            .then(|| self.obs.profiler.scope(Phase::TreeWalk));
         let mut t = now;
         let mut path_len = 0u64;
-        // Constant tail once the walk terminates: read from the memo table
-        // instead of re-summing config latencies per access.
-        let mut tail = self.lat.root();
+        // Constant tail once the walk terminates; a walk that passes the
+        // root ends in the locked upper structure, on-chip.
+        let mut tail = self.chip_tail;
         let mut node = Some(slot.node);
         while let Some(n) = node {
             let nb = self.tl_layout.node_block(slot.treeling, n);
@@ -514,7 +473,7 @@ impl IvLeagueSubsystem {
                 self.meta_writeback(t, dram, e.key);
             }
             if hit || out.bypassed {
-                tail = self.lat.terminal(n.level, true);
+                tail = self.chip_tail;
                 break;
             }
             t = dram.access(t, nb, false);
@@ -529,7 +488,7 @@ impl IvLeagueSubsystem {
             node = g.parent(n);
         }
         // Fell past the root: the root's hash lives in the upper structure.
-        // With locking it is on-chip by construction (`lat.root()`, set
+        // With locking it is on-chip by construction (`chip_tail`, set
         // above); the ablation re-opens the shared evictable block.
         if node.is_none() && !self.lock_upper {
             let upper = self.tl_layout.upper_structure_blocks()[(slot.treeling.0 as usize
@@ -542,7 +501,7 @@ impl IvLeagueSubsystem {
                 self.meta_writeback(t, dram, e.key);
             }
             if hit {
-                tail = self.lat.terminal(0, true);
+                tail = self.chip_tail;
             } else {
                 t = dram.access(t, upper, false);
                 self.stats.meta_reads += 1;
@@ -552,7 +511,7 @@ impl IvLeagueSubsystem {
                         self.obs.timeline.count("scheme.walk_legs", t, 1);
                     }
                 }
-                tail = self.lat.terminal(0, false);
+                tail = self.mem_tail;
             }
         }
         if !is_write {
@@ -757,7 +716,6 @@ impl IntegritySubsystem for IvLeagueSubsystem {
         if self.slot_of(page).is_some() {
             return now;
         }
-        let _alloc_timing = self.prof_on.then(|| self.obs.profiler.scope(Phase::Alloc));
         let done = match &mut self.mapper {
             Mapper::Nfl(f) => match f.map_page(domain, page) {
                 Ok(out) => {
@@ -836,7 +794,6 @@ impl IntegritySubsystem for IvLeagueSubsystem {
         page: PageNum,
         domain: DomainId,
     ) -> Cycle {
-        let _alloc_timing = self.prof_on.then(|| self.obs.profiler.scope(Phase::Alloc));
         let t = match &mut self.mapper {
             Mapper::Nfl(f) => match f.unmap_page(domain, page) {
                 Ok(out) => {
@@ -902,7 +859,6 @@ impl IntegritySubsystem for IvLeagueSubsystem {
     fn attach_obs(&mut self, obs: &Obs) {
         self.obs = obs.clone();
         self.trace_on = self.obs.tracer.enabled();
-        self.prof_on = self.obs.profiler.is_enabled();
         self.tl_on = self.obs.timeline.enabled();
     }
 
@@ -1201,14 +1157,13 @@ mod tests {
 
     #[test]
     fn trace_and_export_reconcile_with_stats() {
-        use ivl_sim_core::obs::{Profiler, TraceFilter, Tracer, DEFAULT_TRACE_CAP};
+        use ivl_sim_core::obs::{TraceFilter, Tracer, DEFAULT_TRACE_CAP};
 
         let cfg = small_cfg();
         let mut dram = DramModel::new(&cfg.dram);
         let mut s = IvLeagueSubsystem::new(&cfg, IvVariant::Basic, AllocatorKind::Nfl);
         let obs = Obs {
             tracer: Tracer::bounded(DEFAULT_TRACE_CAP, TraceFilter::default()),
-            profiler: Profiler::enabled(),
             timeline: ivl_sim_core::obs::Timeline::bounded(1_000, 1 << 12),
         };
         s.attach_obs(&obs);
@@ -1263,10 +1218,5 @@ mod tests {
         );
         assert!(reg.gauge("iv.forest.mean_utilization").is_some());
         assert!(reg.gauge("iv.d0.nflb_occupancy").is_some());
-
-        // Host-time phases were entered.
-        assert!(obs.profiler.entries(Phase::Nfl) > 0);
-        assert!(obs.profiler.entries(Phase::TreeWalk) > 0);
-        assert_eq!(obs.profiler.entries(Phase::Alloc), 33);
     }
 }

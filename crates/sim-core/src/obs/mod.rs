@@ -6,35 +6,33 @@
 //!   delta support and JSON/table export;
 //! * [`trace`] — a bounded, cycle-stamped, typed event ring with a JSONL
 //!   sink and forensics helpers;
-//! * [`profile`] — scoped host-time timers aggregated into a per-run
-//!   self-profile;
-//! * [`timeline`] — windowed simulated-time metric series (counters,
-//!   gauges, log₂ histograms per cycle window) with JSONL/CSV export.
+//! * [`timeline`] — windowed simulated-time metric series (counters and
+//!   log₂ histograms per cycle window) with JSONL/CSV export.
 //!
 //! Models receive a cloneable [`Obs`] handle; a default-constructed
 //! handle is fully disabled and costs one branch per would-be event.
-//! Runners build the handle from the environment via
-//! [`ObsConfig::from_env`]:
+//! Host time is not measured here: `perfbench --trace 1` attributes it per
+//! layer. Runners build the handle from the environment via
+//! [`ObsConfig::from_env`]. The three sink variables read alike (see
+//! [`sink_path`]): empty, `0` or `false` → off; `1` or `true` → the default
+//! file; any other value → that path.
 //!
 //! | Variable | Effect |
 //! |---|---|
-//! | `IVL_TRACE` | `1`/`true` → trace to a default file; any other value → trace to that path |
+//! | `IVL_TRACE` | trace to `ivl_trace.jsonl` or the given path |
 //! | `IVL_TRACE_FILTER` | comma list of components, optional `domain=<n>` |
 //! | `IVL_TRACE_CAP` | ring capacity (default `2^20` records) |
-//! | `IVL_STATS_JSON` | write the measured stats registry (flat JSON) to this path |
-//! | `IVL_PROFILE` | `1` → enable host-time self-profiling (exported into the stats) |
-//! | `IVL_TIMELINE` | `1`/`true` → record windowed time series to a default file; any other value → to that path |
+//! | `IVL_STATS_JSON` | write the measured stats registry (flat JSON) to `ivl_stats.json` or the given path |
+//! | `IVL_TIMELINE` | record windowed time series to `ivl_timeline.jsonl` or the given path |
 //! | `IVL_TIMELINE_WINDOW` | window width in simulated cycles (default `10_000`) |
 //! | `IVL_TIMELINE_CAP` | retained windows per series (default `4096`, drop-oldest) |
 
-pub mod profile;
 pub mod registry;
 pub mod timeline;
 pub mod trace;
 
 use std::path::{Path, PathBuf};
 
-pub use profile::{Phase, Profiler};
 pub use registry::{StatValue, StatsRegistry};
 pub use timeline::{Timeline, TimelineData, DEFAULT_TIMELINE_CAP, DEFAULT_TIMELINE_WINDOW};
 pub use trace::{
@@ -42,7 +40,7 @@ pub use trace::{
 };
 
 /// The observability handle a run threads through its models: a tracer
-/// and a profiler, both cloneable and both no-ops by default.
+/// and a timeline, both cloneable and both no-ops by default.
 ///
 /// The handle is `!Send` by design (single-threaded per run worker);
 /// never store it in results returned across threads.
@@ -50,8 +48,6 @@ pub use trace::{
 pub struct Obs {
     /// Structured event tracer.
     pub tracer: Tracer,
-    /// Host-time self-profiler.
-    pub profiler: Profiler,
     /// Windowed simulated-time series recorder.
     pub timeline: Timeline,
 }
@@ -70,11 +66,6 @@ impl Obs {
             } else {
                 Tracer::disabled()
             },
-            profiler: if cfg.profile {
-                Profiler::enabled()
-            } else {
-                Profiler::disabled()
-            },
             timeline: if cfg.timeline {
                 Timeline::bounded(cfg.timeline_window, cfg.timeline_cap)
             } else {
@@ -85,7 +76,7 @@ impl Obs {
 
     /// Whether anything is enabled.
     pub fn any_enabled(&self) -> bool {
-        self.tracer.enabled() || self.profiler.is_enabled() || self.timeline.enabled()
+        self.tracer.enabled() || self.timeline.enabled()
     }
 }
 
@@ -103,8 +94,6 @@ pub struct ObsConfig {
     pub trace_path: Option<PathBuf>,
     /// Stats-registry JSON sink path.
     pub stats_path: Option<PathBuf>,
-    /// Measure host-time phases.
-    pub profile: bool,
     /// Record windowed simulated-time series.
     pub timeline: bool,
     /// Timeline window width in simulated cycles.
@@ -126,51 +115,22 @@ impl ObsConfig {
         }
     }
 
-    /// Parses `IVL_TRACE` / `IVL_TRACE_FILTER` / `IVL_TRACE_CAP` /
-    /// `IVL_STATS_JSON` / `IVL_PROFILE`.
+    /// Parses the variables in the module-level table.
     pub fn from_env() -> Self {
         let mut cfg = ObsConfig::off();
-        if let Ok(v) = std::env::var("IVL_TRACE") {
-            let v = v.trim();
-            if !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false") {
-                cfg.trace = true;
-                cfg.trace_path = Some(PathBuf::from(
-                    if v == "1" || v.eq_ignore_ascii_case("true") {
-                        "ivl_trace.jsonl"
-                    } else {
-                        v
-                    },
-                ));
-            }
-        }
+        let sink =
+            |var: &str, default: &str| std::env::var(var).ok().and_then(|v| sink_path(&v, default));
+        cfg.trace_path = sink("IVL_TRACE", DEFAULT_TRACE_PATH);
+        cfg.trace = cfg.trace_path.is_some();
+        cfg.stats_path = sink("IVL_STATS_JSON", DEFAULT_STATS_PATH);
+        cfg.timeline_path = sink("IVL_TIMELINE", DEFAULT_TIMELINE_PATH);
+        cfg.timeline = cfg.timeline_path.is_some();
         if let Ok(v) = std::env::var("IVL_TRACE_FILTER") {
             cfg.trace_filter = TraceFilter::parse(&v);
         }
         if let Ok(v) = std::env::var("IVL_TRACE_CAP") {
             if let Ok(cap) = v.trim().parse::<usize>() {
                 cfg.trace_cap = cap.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("IVL_STATS_JSON") {
-            if !v.trim().is_empty() {
-                cfg.stats_path = Some(PathBuf::from(v.trim()));
-            }
-        }
-        if let Ok(v) = std::env::var("IVL_PROFILE") {
-            let v = v.trim();
-            cfg.profile = !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false");
-        }
-        if let Ok(v) = std::env::var("IVL_TIMELINE") {
-            let v = v.trim();
-            if !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false") {
-                cfg.timeline = true;
-                cfg.timeline_path = Some(PathBuf::from(
-                    if v == "1" || v.eq_ignore_ascii_case("true") {
-                        "ivl_timeline.jsonl"
-                    } else {
-                        v
-                    },
-                ));
             }
         }
         if let Ok(v) = std::env::var("IVL_TIMELINE_WINDOW") {
@@ -188,7 +148,28 @@ impl ObsConfig {
 
     /// Whether any sink or instrument is on.
     pub fn any_enabled(&self) -> bool {
-        self.trace || self.stats_path.is_some() || self.profile || self.timeline
+        self.trace || self.stats_path.is_some() || self.timeline
+    }
+}
+
+/// Default trace file for `IVL_TRACE=1`.
+pub const DEFAULT_TRACE_PATH: &str = "ivl_trace.jsonl";
+/// Default stats file for `IVL_STATS_JSON=1`.
+pub const DEFAULT_STATS_PATH: &str = "ivl_stats.json";
+/// Default timeline file for `IVL_TIMELINE=1`.
+pub const DEFAULT_TIMELINE_PATH: &str = "ivl_timeline.jsonl";
+
+/// Reads the value of a sink variable (`IVL_TRACE`, `IVL_STATS_JSON`,
+/// `IVL_TIMELINE`): empty, `0` or `false` → off (`None`); `1` or `true` →
+/// `default`; anything else → that path.
+pub fn sink_path(value: &str, default: &str) -> Option<PathBuf> {
+    let v = value.trim();
+    if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false") {
+        None
+    } else if v == "1" || v.eq_ignore_ascii_case("true") {
+        Some(PathBuf::from(default))
+    } else {
+        Some(PathBuf::from(v))
     }
 }
 
@@ -246,20 +227,36 @@ mod tests {
         let obs = Obs::disabled();
         assert!(!obs.any_enabled());
         assert!(!obs.tracer.enabled());
-        assert!(!obs.profiler.is_enabled());
+        assert!(!obs.timeline.enabled());
     }
 
     #[test]
     fn from_config_enables_requested_pieces() {
         let mut cfg = ObsConfig::off();
         cfg.trace = true;
-        cfg.profile = true;
         cfg.timeline = true;
         let obs = Obs::from_config(&cfg);
         assert!(obs.tracer.enabled());
-        assert!(obs.profiler.is_enabled());
         assert!(obs.timeline.enabled());
         assert!(!Obs::from_config(&ObsConfig::off()).any_enabled());
+    }
+
+    #[test]
+    fn sink_path_reads_off_default_and_path() {
+        for off in ["", "  ", "0", "false", "FALSE"] {
+            assert_eq!(sink_path(off, "d.json"), None, "{off:?}");
+        }
+        for on in ["1", " 1 ", "true", "True"] {
+            assert_eq!(
+                sink_path(on, "d.json"),
+                Some(PathBuf::from("d.json")),
+                "{on:?}"
+            );
+        }
+        assert_eq!(
+            sink_path(" /tmp/s.json ", "d.json"),
+            Some(PathBuf::from("/tmp/s.json"))
+        );
     }
 
     #[test]

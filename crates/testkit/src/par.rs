@@ -1,23 +1,16 @@
-//! Work-stealing scoped-thread parallel runner (in-tree `crossbeam` +
-//! `parking_lot` stand-in).
+//! Scoped-thread parallel runner (in-tree `crossbeam` + `parking_lot`
+//! stand-in).
 //!
 //! [`map_parallel`] fans a job list out over a worker pool built on
-//! `std::thread::scope`. The job list is split into one contiguous deque
-//! per worker; a worker pops from the **front** of its own deque and, once
-//! drained, steals from the **back** of the fullest victim's deque. Both
-//! ends of a deque live in a single packed `AtomicU64`, so claiming a job
-//! is one CAS and an imbalanced job mix (one slow (mix, scheme) point next
-//! to many fast ones) no longer serializes on the worker that happened to
-//! own the slow chunk.
-//!
-//! Each claimed index is owned by exactly one worker, so results land in
-//! lock-free pre-allocated slots (single writer per slot, joined before
-//! reads). Output order always matches input order regardless of
-//! completion order, and a panicking job propagates out of the scope
-//! exactly like the crossbeam version did.
+//! `std::thread::scope`. Workers claim the next unclaimed job index from
+//! one shared counter, so a slow (mix, scheme) point never holds up the
+//! jobs behind it; campaigns run at most a few hundred jobs of 0.1 s or
+//! more each, so one `fetch_add` per job is all the scheduling they need.
+//! Each worker hands back its `(index, result)` pairs when it is joined,
+//! the caller puts them in input order, and a panicking job's payload is
+//! resumed in the caller.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of workers to use by default: `IVL_WORKERS` when set, else one
 /// per available core.
@@ -32,86 +25,11 @@ pub fn available_workers() -> usize {
         .unwrap_or(4)
 }
 
-/// One worker's job range `[front, back)`, packed as `front << 32 | back`
-/// so popping either end is a single compare-exchange.
-struct Range(AtomicU64);
-
-impl Range {
-    fn new(front: usize, back: usize) -> Self {
-        Range(AtomicU64::new(Self::pack(front as u32, back as u32)))
-    }
-
-    fn pack(front: u32, back: u32) -> u64 {
-        (front as u64) << 32 | back as u64
-    }
-
-    fn unpack(v: u64) -> (u32, u32) {
-        ((v >> 32) as u32, v as u32)
-    }
-
-    /// Jobs left in the range.
-    fn len(&self) -> u32 {
-        let (f, b) = Self::unpack(self.0.load(Ordering::Acquire));
-        b.saturating_sub(f)
-    }
-
-    /// Claims the front job (the owner's end).
-    fn pop_front(&self) -> Option<usize> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (f, b) = Self::unpack(cur);
-            if f >= b {
-                return None;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                Self::pack(f + 1, b),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(f as usize),
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Claims the back job (a thief's end).
-    fn pop_back(&self) -> Option<usize> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (f, b) = Self::unpack(cur);
-            if f >= b {
-                return None;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                Self::pack(f, b - 1),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((b - 1) as usize),
-                Err(now) => cur = now,
-            }
-        }
-    }
-}
-
-/// Pre-allocated per-job result slots. Safety contract: job index `i` is
-/// claimed by exactly one worker (a successful `pop_front`/`pop_back` CAS
-/// transfers ownership), so at most one thread ever writes `slots[i]`, and
-/// reads happen only after `thread::scope` joins every worker.
-struct ResultSlots<T> {
-    slots: Vec<UnsafeCell<Option<T>>>,
-}
-
-unsafe impl<T: Send> Sync for ResultSlots<T> {}
-
 /// Applies `f` to every job on up to `workers` scoped threads and returns
 /// the results **in input order**.
 ///
-/// Jobs are pre-split into per-worker deques; idle workers steal from the
-/// back of the fullest remaining deque, so long jobs neither stall the
-/// queue behind them nor leave siblings idle.
+/// Jobs are claimed in input order, so with `workers = 1` they also run in
+/// input order.
 pub fn map_parallel<I, T, F>(jobs: &[I], workers: usize, f: F) -> Vec<T>
 where
     I: Sync,
@@ -122,65 +40,36 @@ where
         return Vec::new();
     }
     let workers = workers.clamp(1, jobs.len());
-    let results = ResultSlots {
-        slots: (0..jobs.len()).map(|_| UnsafeCell::new(None)).collect(),
-    };
-    // Contiguous initial split; the remainder spreads over the first deques.
-    let chunk = jobs.len() / workers;
-    let extra = jobs.len() % workers;
-    let mut ranges = Vec::with_capacity(workers);
-    let mut start = 0usize;
-    for w in 0..workers {
-        let len = chunk + usize::from(w < extra);
-        ranges.push(Range::new(start, start + len));
-        start += len;
-    }
-    debug_assert_eq!(start, jobs.len());
-
-    // Borrow the whole wrapper (not the inner Vec) so the closure's capture
-    // carries `ResultSlots`'s `Sync` impl across threads.
-    let slots = &results;
-    let run_job = |i: usize| {
-        let out = f(&jobs[i]);
-        // SAFETY: index `i` was claimed by exactly one CAS; no other thread
-        // touches this slot until the scope joins.
-        unsafe { *slots.slots[i].get() = Some(out) };
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            // Joining the worker orders its results before the caller
+            // reads them, so the claim itself needs no ordering.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else { break };
+            done.push((i, f(job)));
+        }
+        done
     };
 
+    let mut slots: Vec<Option<T>> = jobs.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
-        for me in 0..workers {
-            let ranges = &ranges;
-            let run_job = &run_job;
-            scope.spawn(move || {
-                // Own deque first…
-                while let Some(i) = ranges[me].pop_front() {
-                    run_job(i);
-                }
-                // …then steal from the back of the fullest victim until
-                // every deque is empty. Jobs are never re-enqueued, so an
-                // empty sweep means global completion.
-                loop {
-                    let victim = ranges
-                        .iter()
-                        .enumerate()
-                        .filter(|(w, _)| *w != me)
-                        .max_by_key(|(_, r)| r.len())
-                        .filter(|(_, r)| r.len() > 0)
-                        .map(|(w, _)| w);
-                    let Some(v) = victim else { break };
-                    if let Some(i) = ranges[v].pop_back() {
-                        run_job(i);
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (i, out) in done {
+                        slots[i] = Some(out);
                     }
-                    // A failed steal (raced to empty) just re-scans.
                 }
-            });
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
     });
-
-    results
-        .slots
+    slots
         .into_iter()
-        .map(|slot| slot.into_inner().expect("every job completed"))
+        .map(|slot| slot.expect("every job completed"))
         .collect()
 }
 
@@ -222,13 +111,20 @@ mod tests {
                 j
             })
         });
-        assert!(caught.is_err());
+        // The job's own payload reaches the caller, not a generic
+        // "a scoped thread panicked".
+        let payload = caught.expect_err("the job's panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(msg, Some("boom"));
     }
 
     #[test]
-    fn every_job_runs_exactly_once_under_stealing() {
-        // One pathologically slow job at the head of worker 0's deque: the
-        // rest of its chunk must be stolen, and nothing may run twice.
+    fn every_job_runs_exactly_once_behind_a_slow_job() {
+        // One pathologically slow job claimed first: the other workers must
+        // claim everything behind it, and nothing may run twice.
         let jobs: Vec<usize> = (0..64).collect();
         let runs: Vec<AtomicUsize> = (0..jobs.len()).map(|_| AtomicUsize::new(0)).collect();
         let out = map_parallel(&jobs, 4, |&j| {
@@ -249,15 +145,15 @@ mod tests {
     }
 
     #[test]
-    fn range_pop_semantics() {
-        let r = Range::new(3, 6);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.pop_front(), Some(3));
-        assert_eq!(r.pop_back(), Some(5));
-        assert_eq!(r.pop_back(), Some(4));
-        assert_eq!(r.pop_back(), None);
-        assert_eq!(r.pop_front(), None);
-        assert_eq!(r.len(), 0);
+    fn single_worker_runs_jobs_in_input_order() {
+        let jobs: Vec<usize> = (0..33).collect();
+        let order = std::sync::Mutex::new(Vec::new());
+        let out = map_parallel(&jobs, 1, |&j| {
+            order.lock().unwrap().push(j);
+            j
+        });
+        assert_eq!(out, jobs);
+        assert_eq!(order.into_inner().unwrap(), jobs);
     }
 
     #[test]

@@ -172,13 +172,13 @@ IVL_TIMELINE="$(pwd)/target/obs_timeline.jsonl" \
 if [ "$PROFILE_FILTER" != "debug" ]; then
     step "figures wall-clock smoke (all_figures --quick)"
     # Runs the full figure campaign in quick mode against a wall-clock
-    # budget. The budget leaves generous headroom over the ~51 s a single
-    # quiet core needs after the heap-scheduler/dense-table work (it was
-    # 900 s before that landed) and stays env-overridable because CI cores
-    # vary; it exists to catch campaign-layer slowdowns — a serialized
-    # sweep, a lost parallel runner — that the micro-bench medians cannot
-    # see. Debug-only runs skip it: the budget is calibrated for the
-    # release profile.
+    # budget. The budget leaves generous headroom over the 30-36 s the
+    # campaign takes at the default worker count on a 2-CPU x86-64 host
+    # (it was 900 s before the heap-scheduler/dense-table work) and stays
+    # env-overridable because CI cores vary; it exists to catch
+    # campaign-layer slowdowns — a serialized sweep, a lost parallel
+    # runner — that the micro-bench medians cannot see. Debug-only runs
+    # skip it: the budget is calibrated for the release profile.
     FIGURES_BUDGET="${IVL_FIGURES_BUDGET_SECS:-240}"
     FIGURES_START=$(date +%s)
     cargo run -q --release -p ivl-bench --bin all_figures --locked --offline -- --quick
