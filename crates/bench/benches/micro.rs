@@ -9,6 +9,7 @@
 //! `IVL_BENCH_JSON=<path>` mirrors the results into a JSON file (the
 //! checked-in `BENCH_baseline.json` seeds the perf trajectory).
 
+use ivl_cache::randomized::RandomizedCache;
 use ivl_cache::set_assoc::SetAssocCache;
 use ivl_cache::CacheModel;
 use ivl_crypto::aes::Aes128;
@@ -69,8 +70,11 @@ fn bench_caches_and_dram(h: &mut Harness) {
     h.bench("set_assoc_access", || {
         cache.access(black_box(rng.next_below(1 << 20)), false)
     });
-    // Worst case for the cache: a cyclic sweep over twice the cache's
-    // block capacity, so once warm every access misses and evicts.
+    // Worst case for a set-associative LRU cache: a cyclic sweep over
+    // twice the block capacity of a 256 KiB `SetAssocCache`, so once warm
+    // every access misses and evicts. (The name predates the randomized-LLC
+    // benches below; it is kept so the checked-in snapshots stay
+    // comparable.)
     let mut cache = SetAssocCache::with_geometry(256 * 1024, 8, 64);
     let cache_blocks = 2 * (256 * 1024 / 64) as u64;
     let mut i = 0u64;
@@ -83,7 +87,40 @@ fn bench_caches_and_dram(h: &mut Harness) {
         cache.access(black_box(i % cache_blocks), false)
     });
 
+    // The shared LLC itself: `SystemConfig::default()`'s randomized skewed
+    // cache (8 MiB, 16 ways over two skews).
     let cfg = SystemConfig::default();
+    let llc = cfg.llc.cache;
+    let new_llc =
+        || RandomizedCache::with_geometry(llc.capacity_bytes, llc.ways, llc.line_bytes, 0x11C);
+    let llc_lines = (llc.capacity_bytes / llc.line_bytes) as u64;
+    // A working set of a quarter of the capacity, warmed in: its candidate
+    // sets practically never overflow both skews, so every access hits.
+    let mut cache = new_llc();
+    let working_set = llc_lines / 4;
+    for k in 0..working_set {
+        cache.access(k, false);
+    }
+    assert!((0..working_set).all(|k| cache.probe(k)));
+    let mut i = 0u64;
+    h.bench("randomized_llc_hit", || {
+        i += 1;
+        cache.access(black_box(i % working_set), false)
+    });
+    // A stream of never-seen keys into a cache filled to the brim: every
+    // access misses, draws a random victim and evicts it.
+    let mut cache = new_llc();
+    let mut next_key = 0u64;
+    for _ in 0..4 * llc_lines {
+        next_key += 1;
+        cache.access(next_key, false);
+    }
+    assert_eq!(cache.occupancy() as u64, llc_lines);
+    h.bench("randomized_llc_miss_evict", || {
+        next_key += 1;
+        cache.access(black_box(next_key), false)
+    });
+
     let mut dram = DramModel::new(&cfg.dram);
     let mut rng = Xoshiro256::seed_from(1);
     let mut now = 0u64;

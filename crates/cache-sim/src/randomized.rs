@@ -13,27 +13,29 @@
 //! The timing behavior (hit/miss rates under a working set) is what the
 //! performance evaluation needs; the security property matters for the
 //! attack models, which treat a randomized cache as un-primable.
+//!
+//! # Layout
+//!
+//! Each skew stores a flat, set-major tag array plus per-set `u16`
+//! `valid`/`dirty` bitmasks (one bit per way), the packed form of
+//! [`SetAssocCache`](crate::set_assoc::SetAssocCache) (DESIGN.md §6). No
+//! recency state is kept: victims are random, so nothing orders the ways.
+//! An access computes each skew's set index once, compares the set's ways
+//! branchlessly into a hit mask, and fills the lowest invalid way. The
+//! bitmasks cap a skew at [`MAX_WAYS_PER_SKEW`] ways. A differential test
+//! holds this layout to the earlier array-of-line-structs implementation.
 
 use ivl_sim_core::rng::{splitmix64, Xoshiro256};
 
 use crate::{AccessOutcome, CacheModel, CacheTally, Evicted};
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    key: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-}
-
-const EMPTY: Line = Line {
-    key: 0,
-    valid: false,
-    dirty: false,
-    lru: 0,
-};
+/// Maximum ways per skew the `u16` per-set bitmasks support.
+pub const MAX_WAYS_PER_SKEW: usize = 16;
 
 /// A two-skew randomized cache with keyed indexing and random eviction.
+///
+/// Per skew it stores one tag per line and a valid and a dirty bit per line
+/// (as per-set bitmasks); the replacement state is the eviction PRNG alone.
 ///
 /// # Examples
 ///
@@ -45,15 +47,21 @@ const EMPTY: Line = Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RandomizedCache {
-    /// Sets per skew.
-    sets_per_skew: usize,
+    /// `sets_per_skew - 1`; every skew keeps all sets.
+    set_mask: usize,
     /// Ways per skew (total associativity is `2 * ways_per_skew`).
     ways_per_skew: usize,
-    /// `lines[skew]` holds `sets_per_skew * ways_per_skew` lines.
-    lines: [Vec<Line>; 2],
+    /// All-ways-present bitmask (`ways_per_skew` low bits set).
+    way_mask: u16,
+    /// `tags[skew][set * ways_per_skew + way]`; only meaningful where the
+    /// valid bit is set.
+    tags: [Box<[u64]>; 2],
+    /// `valid[skew][set]`: bit `w` = way `w` holds a line.
+    valid: [Box<[u16]>; 2],
+    /// `dirty[skew][set]`: bit `w` = way `w` is dirty.
+    dirty: [Box<[u16]>; 2],
     index_keys: [u64; 2],
     rng: Xoshiro256,
-    clock: u64,
     tally: CacheTally,
 }
 
@@ -64,6 +72,7 @@ impl RandomizedCache {
     /// # Panics
     ///
     /// Panics unless `sets` is an even power of two and `ways` is even.
+    /// Panics if `ways / 2` exceeds [`MAX_WAYS_PER_SKEW`].
     pub fn new(sets: usize, ways: usize, seed: u64) -> Self {
         assert!(
             sets >= 2 && sets.is_power_of_two(),
@@ -77,18 +86,25 @@ impl RandomizedCache {
         // exactly `sets * ways` lines.
         let sets_per_skew = sets;
         let ways_per_skew = ways / 2;
+        assert!(
+            ways_per_skew <= MAX_WAYS_PER_SKEW,
+            "at most {MAX_WAYS_PER_SKEW} ways per skew supported"
+        );
         let (k0, s1) = splitmix64(seed);
         let (k1, _) = splitmix64(s1);
+        // `vec![0; n]` allocates zeroed memory, so an empty cache costs no
+        // writes however large it is.
+        let tags = || vec![0u64; sets_per_skew * ways_per_skew].into_boxed_slice();
+        let masks = || vec![0u16; sets_per_skew].into_boxed_slice();
         RandomizedCache {
-            sets_per_skew,
+            set_mask: sets_per_skew - 1,
             ways_per_skew,
-            lines: [
-                vec![EMPTY; sets_per_skew * ways_per_skew],
-                vec![EMPTY; sets_per_skew * ways_per_skew],
-            ],
+            way_mask: u16::MAX >> (MAX_WAYS_PER_SKEW - ways_per_skew),
+            tags: [tags(), tags()],
+            valid: [masks(), masks()],
+            dirty: [masks(), masks()],
             index_keys: [k0, k1],
             rng: Xoshiro256::seed_from(seed ^ 0xC0FF_EE00),
-            clock: 0,
             tally: CacheTally::default(),
         }
     }
@@ -102,85 +118,85 @@ impl RandomizedCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent.
+    /// Panics if the geometry is inconsistent (see [`new`](Self::new)).
     pub fn with_geometry(capacity_bytes: usize, ways: usize, line_bytes: usize, seed: u64) -> Self {
         let lines = capacity_bytes / line_bytes;
         assert!(lines.is_multiple_of(ways), "capacity must divide into ways");
         Self::new(lines / ways, ways, seed)
     }
 
+    #[inline]
     fn skew_set(&self, skew: usize, key: u64) -> usize {
         let (mixed, _) = splitmix64(key ^ self.index_keys[skew]);
-        (mixed as usize) & (self.sets_per_skew - 1)
+        (mixed as usize) & self.set_mask
     }
 
-    fn set_range(&self, skew: usize, key: u64) -> std::ops::Range<usize> {
-        let set = self.skew_set(skew, key);
-        set * self.ways_per_skew..(set + 1) * self.ways_per_skew
+    /// `key`'s set in each skew.
+    #[inline]
+    fn sets_of(&self, key: u64) -> [usize; 2] {
+        [self.skew_set(0, key), self.skew_set(1, key)]
     }
-}
 
-impl RandomizedCache {
+    /// Way holding `key` in `set` of `skew`, if resident. Compares every
+    /// way into a match mask, then masks with the valid bits; valid tags
+    /// are unique, so the lowest set bit (if any) is the way in scan order.
+    #[inline]
+    fn find(&self, skew: usize, set: usize, key: u64) -> Option<usize> {
+        let base = set * self.ways_per_skew;
+        let tags = &self.tags[skew][base..base + self.ways_per_skew];
+        let mut hits = 0u16;
+        for (w, &tag) in tags.iter().enumerate() {
+            hits |= u16::from(tag == key) << w;
+        }
+        let m = hits & self.valid[skew][set];
+        (m != 0).then(|| m.trailing_zeros() as usize)
+    }
+
+    /// The resident line of `key` as `(skew, set, way)`, searching skew 0
+    /// first.
+    #[inline]
+    fn locate(&self, sets: [usize; 2], key: u64) -> Option<(usize, usize, usize)> {
+        (0..2).find_map(|skew| {
+            self.find(skew, sets[skew], key)
+                .map(|way| (skew, sets[skew], way))
+        })
+    }
+
     fn access_inner(&mut self, key: u64, is_write: bool) -> AccessOutcome {
-        self.clock += 1;
-        let clock = self.clock;
-
-        // Hit check in both skews.
-        for skew in 0..2 {
-            let range = self.set_range(skew, key);
-            if let Some(line) = self.lines[skew][range]
-                .iter_mut()
-                .find(|l| l.valid && l.key == key)
-            {
-                line.lru = clock;
-                line.dirty |= is_write;
-                return AccessOutcome {
-                    hit: true,
-                    evicted: None,
-                    bypassed: false,
-                };
-            }
+        let sets = self.sets_of(key);
+        if let Some((skew, set, way)) = self.locate(sets, key) {
+            self.dirty[skew][set] |= u16::from(is_write) << way;
+            return AccessOutcome {
+                hit: true,
+                evicted: None,
+                bypassed: false,
+            };
         }
 
-        // Miss: fill into the skew whose candidate set has an invalid way
-        // (load-aware skew selection, as in power-of-two-choices); otherwise
-        // pick a random skew and a random victim within the set — the random
-        // global-eviction approximation.
-        let mut chosen: Option<(usize, usize)> = None; // (skew, line index)
-        for skew in 0..2 {
-            let range = self.set_range(skew, key);
-            if let Some(off) = self.lines[skew][range.clone()]
-                .iter()
-                .position(|l| !l.valid)
-            {
-                chosen = Some((skew, range.start + off));
-                break;
-            }
-        }
-        let (skew, idx, evicted) = match chosen {
-            Some((skew, idx)) => (skew, idx, None),
-            None => {
-                let skew = (self.rng.next_u64() & 1) as usize;
-                let range = self.set_range(skew, key);
-                let off = self.rng.index(self.ways_per_skew);
-                let idx = range.start + off;
-                let old = self.lines[skew][idx];
-                (
-                    skew,
-                    idx,
-                    Some(Evicted {
-                        key: old.key,
-                        dirty: old.dirty,
-                    }),
-                )
-            }
+        // Miss: fill the lowest invalid way of the first skew, skew 0 first,
+        // whose candidate set has one (first fit, not a load comparison of
+        // the two sets); otherwise pick a random skew and a random victim
+        // within the set — the random global-eviction approximation.
+        let free = [
+            !self.valid[0][sets[0]] & self.way_mask,
+            !self.valid[1][sets[1]] & self.way_mask,
+        ];
+        let (skew, way, evicted) = if let Some(skew) = (0..2).find(|&s| free[s] != 0) {
+            (skew, free[skew].trailing_zeros() as usize, None)
+        } else {
+            let skew = (self.rng.next_u64() & 1) as usize;
+            let way = self.rng.index(self.ways_per_skew);
+            let victim = Evicted {
+                key: self.tags[skew][sets[skew] * self.ways_per_skew + way],
+                dirty: self.dirty[skew][sets[skew]] & (1 << way) != 0,
+            };
+            (skew, way, Some(victim))
         };
-        self.lines[skew][idx] = Line {
-            key,
-            valid: true,
-            dirty: is_write,
-            lru: clock,
-        };
+        let set = sets[skew];
+        let bit = 1u16 << way;
+        self.tags[skew][set * self.ways_per_skew + way] = key;
+        self.valid[skew][set] |= bit;
+        self.dirty[skew][set] = (self.dirty[skew][set] & !bit) | (u16::from(is_write) << way);
         AccessOutcome {
             hit: false,
             evicted,
@@ -197,32 +213,23 @@ impl CacheModel for RandomizedCache {
     }
 
     fn probe(&self, key: u64) -> bool {
-        (0..2).any(|skew| {
-            let range = self.set_range(skew, key);
-            self.lines[skew][range]
-                .iter()
-                .any(|l| l.valid && l.key == key)
-        })
+        self.locate(self.sets_of(key), key).is_some()
     }
 
     fn invalidate(&mut self, key: u64) -> Option<bool> {
-        for skew in 0..2 {
-            let range = self.set_range(skew, key);
-            for line in self.lines[skew][range].iter_mut() {
-                if line.valid && line.key == key {
-                    let dirty = line.dirty;
-                    *line = EMPTY;
-                    return Some(dirty);
-                }
-            }
-        }
-        None
+        let (skew, set, way) = self.locate(self.sets_of(key), key)?;
+        let bit = 1u16 << way;
+        let dirty = self.dirty[skew][set] & bit != 0;
+        self.valid[skew][set] &= !bit;
+        self.dirty[skew][set] &= !bit;
+        Some(dirty)
     }
 
     fn occupancy(&self) -> usize {
-        self.lines
+        self.valid
             .iter()
-            .map(|skew| skew.iter().filter(|l| l.valid).count())
+            .flat_map(|skew| skew.iter())
+            .map(|v| v.count_ones() as usize)
             .sum()
     }
 }
@@ -328,5 +335,231 @@ mod tests {
         }
         let hits = ws.iter().filter(|&&k| c.access(k, false).hit).count();
         assert!(hits as f64 >= 0.95 * ws.len() as f64, "hits {hits}");
+    }
+
+    #[test]
+    fn sixteen_ways_per_skew_supported_seventeen_rejected() {
+        let mut c = RandomizedCache::new(2, 2 * MAX_WAYS_PER_SKEW, 12);
+        // A key fills an invalid way of either candidate set, so a long
+        // enough key stream fills every way of both skews.
+        for k in 0..1000u64 {
+            c.access(k, false);
+        }
+        assert_eq!(c.occupancy(), 2 * 2 * MAX_WAYS_PER_SKEW);
+        assert!(std::panic::catch_unwind(|| RandomizedCache::new(2, 34, 12)).is_err());
+    }
+
+    /// The pre-packing implementation (array of line structs with an
+    /// unread recency stamp), kept verbatim as the behavioral oracle for
+    /// the differential test below.
+    mod reference {
+        use ivl_sim_core::rng::{splitmix64, Xoshiro256};
+
+        use crate::{AccessOutcome, CacheTally, Evicted};
+
+        #[derive(Debug, Clone, Copy)]
+        struct Line {
+            key: u64,
+            valid: bool,
+            dirty: bool,
+            lru: u64,
+        }
+
+        const EMPTY: Line = Line {
+            key: 0,
+            valid: false,
+            dirty: false,
+            lru: 0,
+        };
+
+        pub struct RefCache {
+            sets_per_skew: usize,
+            ways_per_skew: usize,
+            lines: [Vec<Line>; 2],
+            index_keys: [u64; 2],
+            rng: Xoshiro256,
+            clock: u64,
+            tally: CacheTally,
+        }
+
+        impl RefCache {
+            pub fn new(sets: usize, ways: usize, seed: u64) -> Self {
+                let sets_per_skew = sets;
+                let ways_per_skew = ways / 2;
+                let (k0, s1) = splitmix64(seed);
+                let (k1, _) = splitmix64(s1);
+                RefCache {
+                    sets_per_skew,
+                    ways_per_skew,
+                    lines: [
+                        vec![EMPTY; sets_per_skew * ways_per_skew],
+                        vec![EMPTY; sets_per_skew * ways_per_skew],
+                    ],
+                    index_keys: [k0, k1],
+                    rng: Xoshiro256::seed_from(seed ^ 0xC0FF_EE00),
+                    clock: 0,
+                    tally: CacheTally::default(),
+                }
+            }
+
+            pub fn tally(&self) -> CacheTally {
+                self.tally
+            }
+
+            fn skew_set(&self, skew: usize, key: u64) -> usize {
+                let (mixed, _) = splitmix64(key ^ self.index_keys[skew]);
+                (mixed as usize) & (self.sets_per_skew - 1)
+            }
+
+            fn set_range(&self, skew: usize, key: u64) -> std::ops::Range<usize> {
+                let set = self.skew_set(skew, key);
+                set * self.ways_per_skew..(set + 1) * self.ways_per_skew
+            }
+
+            fn access_inner(&mut self, key: u64, is_write: bool) -> AccessOutcome {
+                self.clock += 1;
+                let clock = self.clock;
+
+                for skew in 0..2 {
+                    let range = self.set_range(skew, key);
+                    if let Some(line) = self.lines[skew][range]
+                        .iter_mut()
+                        .find(|l| l.valid && l.key == key)
+                    {
+                        line.lru = clock;
+                        line.dirty |= is_write;
+                        return AccessOutcome {
+                            hit: true,
+                            evicted: None,
+                            bypassed: false,
+                        };
+                    }
+                }
+
+                let mut chosen: Option<(usize, usize)> = None;
+                for skew in 0..2 {
+                    let range = self.set_range(skew, key);
+                    if let Some(off) = self.lines[skew][range.clone()]
+                        .iter()
+                        .position(|l| !l.valid)
+                    {
+                        chosen = Some((skew, range.start + off));
+                        break;
+                    }
+                }
+                let (skew, idx, evicted) = match chosen {
+                    Some((skew, idx)) => (skew, idx, None),
+                    None => {
+                        let skew = (self.rng.next_u64() & 1) as usize;
+                        let range = self.set_range(skew, key);
+                        let off = self.rng.index(self.ways_per_skew);
+                        let idx = range.start + off;
+                        let old = self.lines[skew][idx];
+                        (
+                            skew,
+                            idx,
+                            Some(Evicted {
+                                key: old.key,
+                                dirty: old.dirty,
+                            }),
+                        )
+                    }
+                };
+                self.lines[skew][idx] = Line {
+                    key,
+                    valid: true,
+                    dirty: is_write,
+                    lru: clock,
+                };
+                AccessOutcome {
+                    hit: false,
+                    evicted,
+                    bypassed: false,
+                }
+            }
+
+            pub fn access(&mut self, key: u64, is_write: bool) -> AccessOutcome {
+                let outcome = self.access_inner(key, is_write);
+                self.tally.record(&outcome);
+                outcome
+            }
+
+            pub fn probe(&self, key: u64) -> bool {
+                (0..2).any(|skew| {
+                    let range = self.set_range(skew, key);
+                    self.lines[skew][range]
+                        .iter()
+                        .any(|l| l.valid && l.key == key)
+                })
+            }
+
+            pub fn invalidate(&mut self, key: u64) -> Option<bool> {
+                for skew in 0..2 {
+                    let range = self.set_range(skew, key);
+                    for line in self.lines[skew][range].iter_mut() {
+                        if line.valid && line.key == key {
+                            let dirty = line.dirty;
+                            *line = EMPTY;
+                            return Some(dirty);
+                        }
+                    }
+                }
+                None
+            }
+
+            pub fn occupancy(&self) -> usize {
+                self.lines
+                    .iter()
+                    .map(|skew| skew.iter().filter(|l| l.valid).count())
+                    .sum()
+            }
+        }
+    }
+
+    /// Packed implementation vs. the old struct-of-lines implementation
+    /// under a seeded op mix (reads, writes, invalidations, probes) across
+    /// several geometries, from one way per skew to the default LLC's
+    /// eight and the sixteen-way limit. Small key spaces keep sets filling
+    /// and evicting, so the random victim draws are exercised constantly;
+    /// every outcome (victim key and dirtiness included) and every
+    /// aggregate must agree after every op.
+    #[test]
+    fn differential_against_reference_implementation() {
+        let mut rng = Xoshiro256::seed_from(0x5EED_011C);
+        for (sets, ways, seed) in [
+            (2, 2, 1),
+            (8, 2, 2),
+            (4, 4, 3),
+            (2, 6, 4),
+            (16, 16, 5),
+            (2, 32, 6),
+        ] {
+            let mut packed = RandomizedCache::new(sets, ways, seed);
+            let mut reference = reference::RefCache::new(sets, ways, seed);
+            let key_space = (sets * ways * 2) as u64;
+            for step in 0..20_000 {
+                let key = rng.next_below(key_space);
+                match rng.next_below(8) {
+                    0 => assert_eq!(
+                        packed.invalidate(key),
+                        reference.invalidate(key),
+                        "invalidate @{step} (sets={sets} ways={ways})"
+                    ),
+                    1 => assert_eq!(packed.probe(key), reference.probe(key), "probe @{step}"),
+                    op => {
+                        let is_write = op % 2 == 0;
+                        assert_eq!(
+                            packed.access(key, is_write),
+                            reference.access(key, is_write),
+                            "access @{step} (sets={sets} ways={ways})"
+                        );
+                    }
+                }
+                assert_eq!(packed.probe(key), reference.probe(key), "probe @{step}");
+                assert_eq!(packed.occupancy(), reference.occupancy(), "occ @{step}");
+                assert_eq!(packed.tally(), reference.tally(), "tally @{step}");
+            }
+            assert!(packed.tally().evictions > 0, "geometry never evicted");
+        }
     }
 }

@@ -56,14 +56,13 @@ pub struct CoreConfig {
     pub l2: CacheConfig,
 }
 
-/// Shared last-level cache configuration.
+/// Shared last-level cache configuration. The LLC is always the
+/// MIRAGE-style randomized skewed cache the paper's baseline integrates
+/// as its side-channel defense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlcConfig {
     /// Geometry and latency.
     pub cache: CacheConfig,
-    /// Whether MIRAGE-style randomized indexing is enabled (the paper's
-    /// baseline integrates a randomized-cache defense in the LLC).
-    pub randomized: bool,
 }
 
 /// DRAM device and channel timing (DDR-style, in memory-controller cycles
@@ -208,7 +207,6 @@ impl Default for SystemConfig {
                     line_bytes: 64,
                     hit_latency: 40,
                 },
-                randomized: true,
             },
             dram: DramConfig {
                 capacity_bytes: 32 * 1024 * 1024 * 1024,
@@ -280,7 +278,6 @@ impl SystemConfig {
         doc.set_f64("core.mlp", c.mlp);
         put_cache(&mut doc, "core.l1", &c.l1);
         put_cache(&mut doc, "core.l2", &c.l2);
-        doc.set_bool("llc.randomized", self.llc.randomized);
         put_cache(&mut doc, "llc.cache", &self.llc.cache);
         let d = &self.dram;
         doc.set_u64("dram.capacity_bytes", d.capacity_bytes);
@@ -336,7 +333,6 @@ impl SystemConfig {
             },
             llc: LlcConfig {
                 cache: get_cache(&doc, "llc.cache")?,
-                randomized: doc.get_bool("llc.randomized")?,
             },
             dram: DramConfig {
                 capacity_bytes: doc.get_u64("dram.capacity_bytes")?,
@@ -465,7 +461,7 @@ mod tests {
         let mut c = SystemConfig::default();
         c.core.cores = 64;
         c.core.base_ipc = 2.5;
-        c.llc.randomized = false;
+        c.llc.cache.hit_latency = 36;
         c.ivleague.hot_region_fraction = 0.0625;
         c.dram.capacity_bytes = 128 * 1024 * 1024 * 1024;
         let back = SystemConfig::from_toml(&c.to_toml()).expect("parse");
@@ -479,7 +475,15 @@ mod tests {
         assert!(text.contains("[dram]\n"));
         assert!(text.contains("[ivleague]\n"));
         assert!(text.contains("capacity_bytes = 32768\n"));
-        assert!(text.contains("randomized = true\n"));
+    }
+
+    #[test]
+    fn from_toml_ignores_the_retired_llc_randomized_key() {
+        // Files written before the knob was removed carry
+        // `llc.randomized`; unknown keys are ignored, so they still parse.
+        let c = SystemConfig::default();
+        let old = format!("{}\n[llc]\nrandomized = false\n", c.to_toml());
+        assert_eq!(SystemConfig::from_toml(&old).expect("parse"), c);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! more each, so one `fetch_add` per job is all the scheduling they need.
 //! Each worker hands back its `(index, result)` pairs when it is joined,
 //! the caller puts them in input order, and a panicking job's payload is
-//! resumed in the caller.
+//! resumed in the caller. A panicking job also stops the campaign: no
+//! worker claims another job once one has unwound.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Number of workers to use by default: `IVL_WORKERS` when set, else one
 /// per available core.
@@ -29,7 +30,9 @@ pub fn available_workers() -> usize {
 /// the results **in input order**.
 ///
 /// Jobs are claimed in input order, so with `workers = 1` they also run in
-/// input order.
+/// input order. If a job panics, the workers finish the jobs they are
+/// running, claim no more, and the first panicking job's payload is
+/// resumed in the caller.
 pub fn map_parallel<I, T, F>(jobs: &[I], workers: usize, f: F) -> Vec<T>
 where
     I: Sync,
@@ -41,9 +44,11 @@ where
     }
     let workers = workers.clamp(1, jobs.len());
     let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
     let worker = || {
+        let _stop_on_panic = StopOnPanic(&stop);
         let mut done = Vec::new();
-        loop {
+        while !stop.load(Ordering::Relaxed) {
             // Joining the worker orders its results before the caller
             // reads them, so the claim itself needs no ordering.
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -71,6 +76,19 @@ where
         .into_iter()
         .map(|slot| slot.expect("every job completed"))
         .collect()
+}
+
+/// Raises the campaign's stop flag when dropped by a worker that is
+/// unwinding out of a job. The flag publishes no data (results reach the
+/// caller through `join`), so its accesses need no ordering.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -119,6 +137,51 @@ mod tests {
             .copied()
             .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
         assert_eq!(msg, Some("boom"));
+    }
+
+    #[test]
+    fn panicking_job_stops_the_campaign() {
+        // Set when the thread that ran job 0 exits, which is after its
+        // worker has unwound out of `map_parallel`'s claim loop.
+        static JOB0_THREAD_EXITED: AtomicBool = AtomicBool::new(false);
+        struct SetOnThreadExit;
+        impl Drop for SetOnThreadExit {
+            fn drop(&mut self) {
+                JOB0_THREAD_EXITED.store(true, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: std::cell::Cell<Option<SetOnThreadExit>> =
+                const { std::cell::Cell::new(None) };
+        }
+        // Job 0 panics. Every other job waits until job 0's thread has
+        // exited, so the other worker is inside at most one job when the
+        // panic happens and claims nothing after that job. Counting job
+        // starts after job 0's own start bounds what ran after the panic.
+        let workers = 2;
+        let jobs: Vec<usize> = (0..40).collect();
+        let started = AtomicUsize::new(0);
+        let job0_start = AtomicUsize::new(usize::MAX);
+        let caught = std::panic::catch_unwind(|| {
+            map_parallel(&jobs, workers, |&j| {
+                let seq = started.fetch_add(1, Ordering::SeqCst);
+                if j == 0 {
+                    job0_start.store(seq, Ordering::SeqCst);
+                    ON_EXIT.set(Some(SetOnThreadExit));
+                    panic!("first point failed");
+                }
+                while !JOB0_THREAD_EXITED.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            })
+        });
+        assert!(caught.is_err(), "the job's panic must reach the caller");
+        let after = started.load(Ordering::SeqCst) - job0_start.load(Ordering::SeqCst) - 1;
+        assert!(
+            after < workers,
+            "{after} jobs started after the panicking job (at most {} allowed)",
+            workers - 1
+        );
     }
 
     #[test]
